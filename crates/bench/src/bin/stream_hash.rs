@@ -7,18 +7,26 @@
 //! thresholds, bias masking) were verified against the prior
 //! floating-point formulation.
 //!
+//! `--core` pins the core model instead of the generator: per proxy it
+//! hashes a `warm_up` (2 M instructions by default) plus one 1 M-cycle
+//! `run_cycles` window — the window's activity counters and every cache's
+//! access/miss counts (see `hotgauge_bench::fingerprint::core_hash`).
+//!
 //! ```text
-//! stream_hash [--profiles GLOB] [--instrs N]
+//! stream_hash [--core] [--profiles GLOB] [--instrs N]
 //! ```
 //!
 //! `--profiles` narrows the run to benchmarks matching a `*`-wildcard
 //! pattern (e.g. `server_*`, `*mmer`); `--instrs` overrides the 5 M
-//! instructions hashed per benchmark — drop it to ~100k for a quick
-//! inner-loop check, raise it to deepen the differential before a
-//! sign-off run. Unknown flags and patterns matching nothing exit 2.
-use hotgauge_perf::instr::InstrSource;
-use hotgauge_workloads::generator::WorkloadGen;
+//! instructions hashed per benchmark (the warm-up length under `--core`)
+//! — drop it to ~100k for a quick inner-loop check, raise it to deepen the
+//! differential before a sign-off run. Unknown flags and patterns matching
+//! nothing exit 2.
+use hotgauge_bench::fingerprint::{core_hash, stream_hash, SEED};
 use hotgauge_workloads::spec2006;
+
+/// The `run_cycles` window `--core` hashes after the warm-up.
+const CORE_WINDOW_CYCLES: u64 = 1_000_000;
 
 /// `*`-wildcard match (no other metacharacters): `*` spans any substring.
 fn glob_match(pattern: &str, name: &str) -> bool {
@@ -35,18 +43,22 @@ fn glob_match(pattern: &str, name: &str) -> bool {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut pattern: Option<String> = None;
-    let mut instrs: u64 = 5_000_000;
+    let mut instrs: Option<u64> = None;
+    let mut core = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--help" | "-h" => {
                 println!(
-                    "usage: stream_hash [--profiles GLOB] [--instrs N]\n\
+                    "usage: stream_hash [--core] [--profiles GLOB] [--instrs N]\n\
+                     \x20 --core           hash the core model (warm-up + one 1M-cycle window)\n\
                      \x20 --profiles GLOB  only benchmarks matching a *-wildcard pattern\n\
-                     \x20 --instrs N       instructions hashed per benchmark (default 5000000)"
+                     \x20 --instrs N       instructions hashed per benchmark (default 5000000),\n\
+                     \x20                  or warm-up instructions under --core (default 2000000)"
                 );
                 return;
             }
+            "--core" => core = true,
             "--profiles" => {
                 i += 1;
                 match args.get(i) {
@@ -64,7 +76,7 @@ fn main() {
                     std::process::exit(2);
                 };
                 match v.parse::<u64>() {
-                    Ok(n) if n >= 1 => instrs = n,
+                    Ok(n) if n >= 1 => instrs = Some(n),
                     _ => {
                         eprintln!(
                             "error: invalid instruction count {v} (expected an integer >= 1)"
@@ -96,23 +108,12 @@ fn main() {
     }
 
     for bench in selected {
-        for seed in [7u64] {
-            let profile = spec2006::profile(bench).unwrap();
-            let mut g = WorkloadGen::new(profile, seed);
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut fnv = |v: u64| {
-                h ^= v;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            };
-            for _ in 0..instrs {
-                let i = g.next_instr();
-                fnv(i.pc);
-                fnv(i.addr);
-                fnv(i.class as u64);
-                fnv(i.taken as u64);
-                fnv(i.extra_latency as u64);
-            }
-            println!("{bench} {seed} {h:016x}");
+        let h = if core {
+            core_hash(bench, instrs.unwrap_or(2_000_000), CORE_WINDOW_CYCLES)
+        } else {
+            stream_hash(bench, instrs.unwrap_or(5_000_000))
         }
+        .expect("known benchmark");
+        println!("{bench} {SEED} {h:016x}");
     }
 }

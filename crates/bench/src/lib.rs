@@ -1,4 +1,5 @@
 //! Benchmark harness for the HotGauge reproduction (see the `bin/` targets).
 
 pub mod cli;
+pub mod fingerprint;
 pub mod resident;

@@ -1753,6 +1753,17 @@ mod tests {
         }
     }
 
+    #[test]
+    fn batch_mates_share_the_thermal_model() {
+        let sim = CoSimulation::new(quick_cfg());
+        let mate = CoSimulation::try_new_reusing(quick_cfg(), Some(sim.clone_geom_parts()))
+            .expect("valid config");
+        assert!(std::sync::Arc::ptr_eq(
+            sim.thermal().model(),
+            mate.thermal().model()
+        ));
+    }
+
     /// Full bitwise equality of two runs (every field `PartialEq` offers).
     fn assert_same_result(a: &RunResult, b: &RunResult) {
         assert_eq!(a.records, b.records);

@@ -18,26 +18,27 @@ pub enum HitLevel {
 
 /// A single set-associative cache with true-LRU replacement.
 ///
-/// The model state is deliberately compact: `u32` tags and `u32` LRU stamps
-/// instead of `u64`s. A 16 MiB L3 model holds 262 144 lines, and its
-/// tag/stamp arrays are probed at random set indices on the simulated miss
-/// path — at 8 B + 8 B per way that state was 4 MiB per hierarchy and
-/// thrashed the *host's* caches, which dominated the simulation cost of
-/// memory-bound workloads. At 4 B + 4 B the same exact-LRU model is half the
-/// size and a 16-way tag scan touches one host cache line instead of two.
-/// The access clock renormalizes stamps (order-preserving, per set) before
-/// it can saturate `u32`, so replacement decisions are bit-identical to the
-/// wide representation at any access count.
+/// Each set keeps its valid tags in recency order, most recent first, with
+/// invalid ways (`u32::MAX`) after them. A hit rotates the tag to slot 0; a
+/// miss shifts the set right by one way and writes the new tag at slot 0,
+/// so the least recently used line (or an invalid way, while the set is not
+/// yet full) falls off the end. This is the same hit/miss sequence as a
+/// per-way LRU-stamp model: both keep the same set of resident tags, both
+/// fill an invalid way while one exists, and both then evict the line whose
+/// last access is oldest — which move-to-front order keeps in the last way.
+///
+/// The order *is* the replacement state, so the model is one `u32` tag per
+/// line and nothing else: a 16 MiB L3 holds 262 144 lines in 1 MiB, and a
+/// 16-way set is one host cache line. That matters because the tag arrays
+/// are probed at random set indices on the simulated miss path, where
+/// host-cache misses dominate the cost of memory-bound workloads.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     sets: usize,
     line_shift: u32,
-    /// Tag per (set, way); `u32::MAX` = invalid.
+    /// Tags per set, MRU first; `u32::MAX` = invalid.
     tags: Vec<u32>,
-    /// LRU stamp per (set, way) — larger = more recent.
-    stamps: Vec<u32>,
-    clock: u32,
     accesses: u64,
     misses: u64,
 }
@@ -53,8 +54,6 @@ impl Cache {
             sets,
             line_shift: cfg.line_bytes.trailing_zeros(),
             tags: vec![u32::MAX; sets * cfg.ways],
-            stamps: vec![0; sets * cfg.ways],
-            clock: 0,
             accesses: 0,
             misses: 0,
         }
@@ -95,10 +94,6 @@ impl Cache {
     /// Accesses `addr`; returns `true` on hit. On miss the line is filled
     /// (allocate-on-miss for both reads and writes).
     pub fn access(&mut self, addr: u64) -> bool {
-        if self.clock == u32::MAX {
-            self.renormalize();
-        }
-        self.clock += 1;
         self.accesses += 1;
         let line = addr >> self.line_shift;
         let set = (line as usize) & (self.sets - 1);
@@ -110,57 +105,16 @@ impl Cache {
         let ways = self.cfg.ways;
         let base = set * ways;
 
-        // One bounds check per scan: the way loops run on every simulated
-        // access, so they work on set-sized slices instead of indexing the
-        // full arrays way by way.
+        // Move to front: a hit at way `w` shifts ways `0..w` one slot toward
+        // the end; a miss shifts all but the last way, dropping the LRU line.
         let tags = &mut self.tags[base..base + ways];
-        if let Some(w) = tags.iter().position(|&t| t == tag) {
-            self.stamps[base + w] = self.clock;
-            return true;
+        let hit = tags.iter().position(|&t| t == tag);
+        if hit.is_none() {
+            self.misses += 1;
         }
-        self.misses += 1;
-        // Fill the LRU way (an invalid way first, else the oldest stamp).
-        let stamps = &mut self.stamps[base..base + ways];
-        let mut victim = 0;
-        let mut oldest = u32::MAX;
-        for (w, (&t, &s)) in tags.iter().zip(stamps.iter()).enumerate() {
-            if t == u32::MAX {
-                victim = w;
-                break;
-            }
-            if s < oldest {
-                oldest = s;
-                victim = w;
-            }
-        }
-        tags[victim] = tag;
-        stamps[victim] = self.clock;
-        false
-    }
-
-    /// Compresses every set's stamps to their ranks `0..ways` and restarts
-    /// the clock above them. Recency order within each set is untouched, so
-    /// replacement behavior is identical before and after — this only
-    /// prevents the compact clock from saturating. At one tick per access it
-    /// runs every ~4.3 billion accesses to this cache, i.e. effectively
-    /// never inside a single co-simulation.
-    #[cold]
-    fn renormalize(&mut self) {
-        let ways = self.cfg.ways;
-        let mut order: Vec<usize> = Vec::with_capacity(ways);
-        for set in 0..self.sets {
-            let base = set * ways;
-            let stamps = &mut self.stamps[base..base + ways];
-            order.clear();
-            order.extend(0..ways);
-            // Stable sort: ties exist only among never-touched invalid ways,
-            // whose relative order the victim scan ignores.
-            order.sort_by_key(|&w| stamps[w]);
-            for (rank, &w) in order.iter().enumerate() {
-                stamps[w] = rank as u32;
-            }
-        }
-        self.clock = ways as u32;
+        tags.copy_within(..hit.unwrap_or(ways - 1), 1);
+        tags[0] = tag;
+        hit.is_some()
     }
 
     /// Total accesses.
@@ -191,7 +145,6 @@ impl Cache {
     /// Invalidates all lines and resets statistics.
     pub fn flush(&mut self) {
         self.tags.fill(u32::MAX);
-        self.stamps.fill(0);
         self.reset_stats();
     }
 }

@@ -65,10 +65,13 @@ impl CoreSim {
     /// advances exactly as in a counted run — only the dead accounting
     /// stores are compiled out. Every co-simulation pays 2 M warm-up
     /// micro-ops per run before its first sampled window, which made these
-    /// stores the hottest dead code in whole-figure sweeps.
+    /// stores the hottest dead code in whole-figure sweeps. The warm-up
+    /// length is still counted, once per call, as
+    /// `perf.warmup_instructions` (telemetry builds only).
     pub fn warm_up<S: InstrSource>(&mut self, src: &mut S, instructions: u64) {
         let mut sink = ActivityCounters::default();
         self.execute::<S, false>(src, WindowLimit::Instructions(instructions), &mut sink);
+        hotgauge_telemetry::counter!("perf.warmup_instructions", sink.instructions);
     }
 
     /// Runs until at least `cycles` core cycles have elapsed; returns the

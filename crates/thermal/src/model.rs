@@ -340,9 +340,15 @@ struct SysCache {
 /// A transient thermal simulation: a [`ThermalModel`] plus the evolving
 /// temperature state and a cached backward-Euler system matrix with its
 /// prepared solver (factorization or CG workspace).
+///
+/// Everything immutable is shared by a clone: the model, the system matrix
+/// and the factor or CG preconditioner sit behind `Arc`s, so cloned
+/// lockstep lanes and the idle warm-up hold one copy per geometry. A clone
+/// owns only its state vectors and allocates solo CG scratch on its first
+/// solo step.
 #[derive(Debug, Clone)]
 pub struct ThermalSim {
-    model: ThermalModel,
+    model: Arc<ThermalModel>,
     /// Current temperatures, °C, full domain.
     t: Vec<f64>,
     /// State one step ago, for the CG path's linear-extrapolation warm
@@ -369,12 +375,14 @@ pub struct ThermalSim {
 }
 
 impl ThermalSim {
-    /// Creates a simulation with all nodes at `init_c` °C.
+    /// Creates a simulation with all nodes at `init_c` °C. Pass an
+    /// `Arc<ThermalModel>` to share one model between simulations.
     ///
     /// Uses [`SolverStrategy::Cg`] by default for backward compatibility;
     /// the co-sim pipeline opts into the direct solver through
     /// [`ThermalSim::set_strategy`].
-    pub fn new(model: ThermalModel, init_c: f64) -> Self {
+    pub fn new(model: impl Into<Arc<ThermalModel>>, init_c: f64) -> Self {
+        let model = model.into();
         let n = model.node_count();
         Self {
             model,
@@ -452,8 +460,8 @@ impl ThermalSim {
         })
     }
 
-    /// The underlying model.
-    pub fn model(&self) -> &ThermalModel {
+    /// The underlying model, shared with this simulation's clones.
+    pub fn model(&self) -> &Arc<ThermalModel> {
         &self.model
     }
 
@@ -1225,6 +1233,54 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+    }
+
+    /// The CG workspace of a prepared CG-arm simulation.
+    fn cg_workspace(sim: &ThermalSim) -> &CgWorkspace {
+        match &sim.sys {
+            Some(SysCache {
+                solver: SysSolver::Cg(ws),
+                ..
+            }) => ws,
+            _ => panic!("simulation has no prepared CG system"),
+        }
+    }
+
+    /// Footprint regression: a lane cloned from a prepared simulation must
+    /// share every immutable part instead of copying it, and must not
+    /// allocate solo CG scratch while it only steps in lockstep.
+    #[test]
+    fn clones_share_immutable_parts_and_allocate_solo_scratch_on_first_solo_step() {
+        let model = ThermalModel::new(stack_1d(6, 6));
+        let mut proto = ThermalSim::new(model, 40.0);
+        proto.prepare(1e-3);
+        let mut lanes = vec![proto.clone(), proto.clone()];
+        for lane in &lanes {
+            assert!(Arc::ptr_eq(lane.model(), proto.model()));
+            let (a, b) = (lane.sys.as_ref().unwrap(), proto.sys.as_ref().unwrap());
+            assert!(Arc::ptr_eq(&a.m, &b.m));
+            assert!(cg_workspace(lane).shares_preconditioner(cg_workspace(&proto)));
+            assert!(!cg_workspace(lane).has_scratch());
+        }
+
+        let powers = lane_powers(2, 36);
+        let maps: Vec<&[f64]> = powers.iter().map(|p| p.as_slice()).collect();
+        let mut scratch = LockstepScratch::new();
+        for _ in 0..3 {
+            let mut refs: Vec<&mut ThermalSim> = lanes.iter_mut().collect();
+            step_lockstep(&mut refs, &maps, 1e-3, &mut scratch);
+        }
+        assert!(lanes.iter().all(|l| !cg_workspace(l).has_scratch()));
+
+        // A straggler finishing solo allocates its own scratch; a clone of
+        // it still starts without any.
+        lanes[0].step(&powers[0], 1e-3);
+        assert!(cg_workspace(&lanes[0]).has_scratch());
+        assert!(!cg_workspace(&lanes[1]).has_scratch());
+        assert!(!cg_workspace(&proto).has_scratch());
+        let again = lanes[0].clone();
+        assert!(!cg_workspace(&again).has_scratch());
+        assert!(cg_workspace(&again).shares_preconditioner(cg_workspace(&proto)));
     }
 
     #[test]

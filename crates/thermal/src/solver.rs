@@ -4,8 +4,8 @@
 //! The transient hot path calls this once per time step with the *same*
 //! matrix, so everything reusable lives in a [`CgWorkspace`] that callers
 //! cache across solves: the inverted diagonal of the preconditioner and the
-//! four iteration vectors. A solve through [`solve_cg_with`] performs no
-//! allocations.
+//! four iteration vectors. Only a workspace's first solve through
+//! [`solve_cg_with`] allocates.
 //!
 //! Each iteration runs exactly three passes over memory: a fused
 //! SpMV + `p·Ap` dot ([`crate::sparse::CsrMatrix::mul_vec_dot`]), one fused
@@ -15,6 +15,8 @@
 //! inside the loop; the true relative residual is computed once on exit.
 //! The O(n) passes shard across scoped threads above a crossover length,
 //! mirroring the SpMV sharding in [`crate::sparse`].
+
+use std::sync::Arc;
 
 use crate::sparse::{hardware_threads, CsrMatrix};
 
@@ -57,13 +59,25 @@ impl Default for CgConfig {
 /// iteration vectors, sized for one matrix. Building it costs one pass over
 /// the diagonal; reusing it across the thousands of solves of a transient
 /// run eliminates every per-solve allocation.
-#[derive(Debug, Clone)]
+///
+/// The four iteration vectors are allocated by the first solve, and a
+/// clone shares the preconditioner but not the vectors (they carry no
+/// state from one solve to the next). A workspace that never solves — a
+/// lockstep lane whose steps all go through the batch's
+/// [`MultiCgWorkspace`] — therefore costs one pointer, not five vectors.
+#[derive(Debug)]
 pub struct CgWorkspace {
-    inv_diag: Vec<f64>,
+    inv_diag: Arc<[f64]>,
     r: Vec<f64>,
     z: Vec<f64>,
     p: Vec<f64>,
     ap: Vec<f64>,
+}
+
+impl Clone for CgWorkspace {
+    fn clone(&self) -> Self {
+        Self::with_preconditioner(Arc::clone(&self.inv_diag))
+    }
 }
 
 impl CgWorkspace {
@@ -74,21 +88,16 @@ impl CgWorkspace {
     ///
     /// Panics if the matrix has a non-positive diagonal entry (not SPD).
     pub fn new(a: &CsrMatrix) -> Self {
-        let n = a.n();
-        let inv_diag: Vec<f64> = a
-            .diagonal()
-            .into_iter()
-            .map(|d| {
-                assert!(d > 0.0, "matrix diagonal must be positive for CG");
-                1.0 / d
-            })
-            .collect();
+        Self::with_preconditioner(inverted_diagonal(a).into())
+    }
+
+    fn with_preconditioner(inv_diag: Arc<[f64]>) -> Self {
         Self {
             inv_diag,
-            r: vec![0.0; n],
-            z: vec![0.0; n],
-            p: vec![0.0; n],
-            ap: vec![0.0; n],
+            r: Vec::new(),
+            z: Vec::new(),
+            p: Vec::new(),
+            ap: Vec::new(),
         }
     }
 
@@ -96,6 +105,33 @@ impl CgWorkspace {
     pub fn n(&self) -> usize {
         self.inv_diag.len()
     }
+
+    /// Whether the iteration vectors have been allocated, i.e. whether this
+    /// workspace has run a solve since it was built or cloned.
+    pub(crate) fn has_scratch(&self) -> bool {
+        !self.r.is_empty()
+    }
+
+    /// Whether `self` and `other` share one preconditioner allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_preconditioner(&self, other: &CgWorkspace) -> bool {
+        Arc::ptr_eq(&self.inv_diag, &other.inv_diag)
+    }
+}
+
+/// The Jacobi preconditioner `1 / diag(a)`.
+///
+/// # Panics
+///
+/// Panics if the matrix has a non-positive diagonal entry (not SPD).
+fn inverted_diagonal(a: &CsrMatrix) -> Vec<f64> {
+    a.diagonal()
+        .into_iter()
+        .map(|d| {
+            assert!(d > 0.0, "matrix diagonal must be positive for CG");
+            1.0 / d
+        })
+        .collect()
 }
 
 /// Solves `A x = b` by preconditioned conjugate gradients with a freshly
@@ -131,11 +167,19 @@ pub fn solve_cg_with(
     assert_eq!(ws.n(), n, "workspace built for a different matrix size");
     let _span = hotgauge_telemetry::span!("thermal.cg_solve");
     let threads = threads_for_len(n);
+    if !ws.has_scratch() {
+        // First solve on this workspace: every vector is fully written
+        // before it is read, so fresh zeroed storage is all it needs.
+        ws.r = vec![0.0; n];
+        ws.z = vec![0.0; n];
+        ws.p = vec![0.0; n];
+        ws.ap = vec![0.0; n];
+    }
 
     // ‖b‖² in both the reporting (2-)norm and the preconditioned norm.
     let (nb2, nb2_prec) = b
         .iter()
-        .zip(&ws.inv_diag)
+        .zip(ws.inv_diag.iter())
         .fold((0.0f64, 0.0f64), |(s2, sp), (&bi, &di)| {
             (s2 + bi * bi, sp + bi * bi * di)
         });
@@ -153,7 +197,7 @@ pub fn solve_cg_with(
     let mut rz = 0.0f64;
     for (((&bi, &di), (r, z)), p) in b
         .iter()
-        .zip(&ws.inv_diag)
+        .zip(ws.inv_diag.iter())
         .zip(ws.r.iter_mut().zip(&mut ws.z))
         .zip(&mut ws.p)
     {
@@ -234,14 +278,7 @@ impl MultiCgWorkspace {
     pub fn new(a: &CsrMatrix, k: usize) -> Self {
         assert!((1..=MAX_LOCKSTEP_WIDTH).contains(&k));
         let n = a.n();
-        let inv_diag: Vec<f64> = a
-            .diagonal()
-            .into_iter()
-            .map(|d| {
-                assert!(d > 0.0, "matrix diagonal must be positive for CG");
-                1.0 / d
-            })
-            .collect();
+        let inv_diag = inverted_diagonal(a);
         Self {
             k,
             inv_diag,

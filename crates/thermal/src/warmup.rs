@@ -5,6 +5,8 @@
 //! tasks, OS tasks, and recently context switched workloads)" (§III-C), and
 //! Fig. 8/11 contrast *no warmup (from ambient)* against an *idle warmup*.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::model::{ThermalModel, ThermalSim};
@@ -40,9 +42,9 @@ impl Warmup {
 ///   steady-state) warm-up is used deliberately: an OS that has been running
 ///   briefly leaves the die warm but the heatsink still cool, which is the
 ///   condition that makes warmed-up hotspots appear "more than 4× faster"
-///   (Fig. 8b).
+///   (Fig. 8b). The warm-up simulation shares `model` rather than copying it.
 pub fn initial_state(
-    model: &ThermalModel,
+    model: &Arc<ThermalModel>,
     warmup: Warmup,
     idle_power: &[f64],
     duration_s: f64,
@@ -51,7 +53,7 @@ pub fn initial_state(
     match warmup {
         Warmup::Cold => vec![model.stack().ambient_c; model.node_count()],
         Warmup::Idle => {
-            let mut sim = ThermalSim::new(model.clone(), model.stack().ambient_c);
+            let mut sim = ThermalSim::new(Arc::clone(model), model.stack().ambient_c);
             let steps = (duration_s / dt_s).ceil().max(1.0) as usize;
             for _ in 0..steps {
                 sim.step(idle_power, dt_s);
@@ -68,14 +70,18 @@ mod tests {
 
     #[test]
     fn cold_state_is_uniform_ambient() {
-        let m = ThermalModel::new(StackDescription::client_cpu(10, 10, 500.0));
+        let m = Arc::new(ThermalModel::new(StackDescription::client_cpu(
+            10, 10, 500.0,
+        )));
         let s = initial_state(&m, Warmup::Cold, &vec![0.0; 100], 1.0, 1e-3);
         assert!(s.iter().all(|&t| (t - 40.0).abs() < 1e-12));
     }
 
     #[test]
     fn idle_state_is_warmer_and_nonuniform() {
-        let m = ThermalModel::new(StackDescription::client_cpu(10, 10, 500.0));
+        let m = Arc::new(ThermalModel::new(StackDescription::client_cpu(
+            10, 10, 500.0,
+        )));
         let mut idle = vec![0.0; 100];
         // Heat one corner of the die, as an asymmetric background task would.
         for iy in 0..4 {
