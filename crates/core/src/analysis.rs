@@ -64,11 +64,14 @@ pub struct AnalysisConfig {
     pub prefilter: bool,
 }
 
+/// The default is the same on every host: it is recorded in each
+/// `RunResult.config` and hashed into result-store keys, so it must not read
+/// the machine (`threads: 0` is resolved only when the analysis runs).
 impl Default for AnalysisConfig {
     fn default() -> Self {
         Self {
             threads: 0,
-            overlap: hardware_threads() > 1,
+            overlap: false,
             prefilter: true,
         }
     }

@@ -18,7 +18,7 @@
 //! * hotspot **location attribution** ([`locations`], Fig. 12);
 //! * the **perf-power-therm co-simulation** pipeline gluing the performance,
 //!   power, and thermal substrates together ([`pipeline`], Fig. 3);
-//! * the work-stealing **sweep executor** running whole figure grids on a
+//! * the **sweep executor** running whole figure grids on a
 //!   fixed pool with per-worker scratch arenas, solving same-geometry runs
 //!   in lockstep multi-RHS batches ([`sweep`]);
 //! * canned **experiment runners** for every table and figure

@@ -274,7 +274,7 @@ pub struct WindowProgress {
     pub max_time_s: f64,
 }
 
-/// Runs many configurations on the work-stealing sweep executor; results
+/// Runs many configurations on the sweep executor; results
 /// keep input order. `threads = 0` sizes the pool to the hardware. See
 /// [`crate::sweep`] for the executor and its per-worker scratch arenas.
 pub fn run_many(cfgs: Vec<SimConfig>, threads: usize) -> Vec<RunResult> {

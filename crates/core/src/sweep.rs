@@ -1,9 +1,9 @@
-//! Work-stealing sweep executor with per-worker scratch arenas.
+//! Sweep executor with per-worker scratch arenas.
 //!
 //! The figure sweeps (Fig. 10/11, §V-B) are wide grids of independent
 //! co-simulation runs. The executor here runs such a grid on a fixed pool
-//! of workers pulling jobs from a chunked injector deque, stealing from
-//! each other when their share runs dry — and gives each worker a
+//! of workers claiming work items, widest first, from one shared counter —
+//! and gives each worker a
 //! [`SweepArena`]: a small cache of geometry-keyed model parts (floorplan,
 //! rasterized grids, power model, prepared thermal solver with its Cholesky
 //! factor / CG workspace) plus one reusable [`FrameAnalyzer`]. Repeated
@@ -12,12 +12,13 @@
 //! near-zero.
 //!
 //! On top of the pool sits the **lockstep batch engine**: jobs sharing a
-//! [`geom_key`] are grouped (first-seen key order) and chunked into batches
-//! of up to [`DEFAULT_BATCH_WIDTH`] runs, and each batch advances through
+//! [`geom_key`] are grouped (first-seen key order) and split into batches
+//! of up to [`DEFAULT_BATCH_WIDTH`] runs, narrowed where that balances the
+//! pool (see `partition`), and each batch advances through
 //! one [`crate::pipeline::BatchedCoSim`]-style driver whose multi-RHS
 //! thermal solves stream the shared backward-Euler matrix once per substep
-//! for the whole batch. Leftover chunks of one job — stragglers of a group,
-//! or geometries that appear only once — take the classic per-run path.
+//! for the whole batch. Batches of one job — singleton geometries, or
+//! groups split down to single lanes — take the classic per-run path.
 //!
 //! Results are **order-preserving and bit-identical** to running each
 //! config through [`crate::pipeline::run_sim`] serially (with the sweep's
@@ -28,19 +29,15 @@
 //! (`tests/sweep_equivalence.rs` pins all of it down).
 //!
 //! Telemetry: `sweep.jobs` / `sweep.completions` count scheduled and
-//! finished runs (always equal), `sweep.steal` counts cross-worker steals
-//! (≤ work items), `sweep.arena_reuse` counts geometry-cache hits,
-//! `sweep.queue_depth` samples the injector backlog at each chunk grab,
-//! `sweep.donations` counts workers that retired from the all-empty scan
-//! and donated their thread to the in-flight runs' triangular-solve shards,
-//! and `solver.batch_width` / `solver.lockstep_runs` record the widths of
+//! finished runs (always equal), `sweep.items` counts the work items the
+//! partition produced, `sweep.arena_reuse` counts geometry-cache hits, and
+//! `solver.batch_width` / `solver.lockstep_runs` record the widths of
 //! scheduled lockstep batches and the runs executed through them; the
 //! whole pool runs under a `sweep.executor` span.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use hotgauge_telemetry::{counter, span};
 use hotgauge_thermal::MAX_LOCKSTEP_WIDTH;
@@ -72,11 +69,6 @@ pub struct SweepArena {
     /// FIFO of `(geometry key, parts)`; linear scan (≤ 8 entries).
     geoms: Vec<(String, GeomParts)>,
     analyzer: Option<FrameAnalyzer>,
-    /// Pool-shared count of retired (donated) workers; installed on every
-    /// run's thermal solver so the runs still in flight when the backlog
-    /// drains can widen their triangular-solve shards by that many threads
-    /// (see [`run_many_batched_with`]).
-    donated: Option<Arc<AtomicUsize>>,
 }
 
 impl SweepArena {
@@ -85,16 +77,6 @@ impl SweepArena {
         Self {
             geoms: Vec::new(),
             analyzer: None,
-            donated: None,
-        }
-    }
-
-    /// An empty arena wired to a pool's donation counter.
-    fn with_donated(donated: Arc<AtomicUsize>) -> Self {
-        Self {
-            geoms: Vec::new(),
-            analyzer: None,
-            donated: Some(donated),
         }
     }
 
@@ -169,10 +151,9 @@ pub fn run_sim_in(cfg: SimConfig, arena: &mut SweepArena) -> RunResult {
     if geom.is_some() {
         counter!("sweep.arena_reuse", 1);
     }
-    let mut sim = CoSimulation::try_new_reusing(cfg, geom)
+    let sim = CoSimulation::try_new_reusing(cfg, geom)
         // hotgauge-lint: allow(L001, "programmatic entry point mirroring run_sim/CoSimulation::new; user-input paths validate through try_new and exit 2")
         .unwrap_or_else(|e| panic!("invalid simulation config: {e}"));
-    sim.thermal_mut().set_donated_workers(arena.donated.clone());
     let analyzer = arena
         .analyzer
         .take()
@@ -221,10 +202,9 @@ pub fn run_batch_in(
                 g
             }
         };
-        let mut sim = CoSimulation::try_new_reusing(cfg, geom)
+        let sim = CoSimulation::try_new_reusing(cfg, geom)
             // hotgauge-lint: allow(L001, "programmatic entry point mirroring run_sim/CoSimulation::new; user-input paths validate through try_new and exit 2")
             .unwrap_or_else(|e| panic!("invalid simulation config: {e}"));
-        sim.thermal_mut().set_donated_workers(arena.donated.clone());
         lanes.push(sim);
     }
     let analyzers: Vec<FrameAnalyzer> = lanes
@@ -290,7 +270,7 @@ fn resolved_threads(threads: usize) -> usize {
     }
 }
 
-/// Runs many configurations on the work-stealing pool; results keep input
+/// Runs many configurations on the sweep pool; results keep input
 /// order. `threads = 0` sizes the pool to the hardware; an empty batch
 /// returns immediately for any `threads`. `on_done` is invoked from worker
 /// threads as each run finishes (sweep liveness for long experiments).
@@ -310,8 +290,9 @@ pub fn run_many_with(
 /// jobs are grouped (first-seen key order) and solved up to `batch` at a
 /// time through [`run_batch_in`]; `batch <= 1` disables batching and runs
 /// every job through the classic per-run path. The width is clamped to
-/// [`MAX_LOCKSTEP_WIDTH`]. The batch width never changes any result — only
-/// how many runs share each thermal solve.
+/// [`MAX_LOCKSTEP_WIDTH`], and groups are split narrower where that
+/// balances the lanes across the pool (see `partition`). Neither ever
+/// changes any result — only how many runs share each thermal solve.
 pub fn run_many_batched_with(
     cfgs: Vec<SimConfig>,
     threads: usize,
@@ -324,144 +305,99 @@ pub fn run_many_batched_with(
     }
     let _executor = span!("sweep.executor");
     counter!("sweep.jobs", n);
-    let requested = resolved_threads(threads);
     // Serial-forcing rule: sweep workers already saturate the machine, so
     // per-run analysis threads and the overlap worker would only
     // oversubscribe it. Keyed on the requested thread budget — not the
     // realized pool width — so a single-job sweep at `--threads 8` reports
     // the same (serial-forced) `AnalysisConfig` in its `RunResult` as it
     // always has. Results are identical either way.
-    let force_serial = requested > 1;
+    let force_serial = sweep_serial_forced(threads);
     let batch = batch.clamp(1, MAX_LOCKSTEP_WIDTH);
 
-    // The pool's work items: index batches of same-geometry jobs (chunks of
-    // singleton geometries degrade to the per-run path). With `batch == 1`
-    // every job is its own item, in input order — the classic executor.
-    let items: Vec<Vec<usize>> = if batch == 1 {
-        (0..n).map(|i| vec![i]).collect()
-    } else {
-        let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
-        for (i, c) in cfgs.iter().enumerate() {
-            let key = geom_key(c);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((key, vec![i])),
-            }
+    // The pool's work items: input-ordered index batches of same-geometry
+    // jobs, widest first (batches of one take the per-run path). With
+    // `batch == 1` every job is its own item.
+    let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
+    for (i, c) in cfgs.iter().enumerate() {
+        let key = geom_key(c);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, idxs)) => idxs.push(i),
+            None => groups.push((key, vec![i])),
         }
-        groups
-            .into_iter()
-            .flat_map(|(_, idxs)| {
-                idxs.chunks(batch)
-                    .map(<[usize]>::to_vec)
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
+    }
+    let sizes: Vec<usize> = groups.iter().map(|(_, idxs)| idxs.len()).collect();
+    let pool = pool_workers(threads, n);
+    let items: Vec<&[usize]> = partition(&sizes, batch, pool)
+        .into_iter()
+        .map(|(g, members)| &groups[g].1[members])
+        .collect();
+    counter!("sweep.items", items.len());
     // Workers are additionally capped at the item count — a worker without
     // a work item would only ever contribute idle arena scratch to peak RSS.
-    let workers = pool_workers(threads, n).min(items.len()).max(1);
+    let workers = pool.min(items.len()).max(1);
 
-    let completed = std::sync::atomic::AtomicUsize::new(0);
-    let cfgs_ref = &cfgs;
+    let cfg_of = |i: usize| {
+        let mut cfg = cfgs[i].clone();
+        if force_serial {
+            cfg.analysis = cfg.analysis.serial();
+        }
+        cfg
+    };
+    let completed = AtomicUsize::new(0);
     // Executes one work item in an arena; returns `(input index, result)`
     // pairs. Completion accounting fires per *run* (not per item), as each
     // lane of a batch finishes.
     let run_item = |item: &[usize], arena: &mut SweepArena| -> Vec<(usize, RunResult)> {
         let lane_done = |lane: usize| {
             let idx = item[lane];
-            let done = completed.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
             counter!("sweep.completions", 1);
             if let Some(cb) = on_done {
                 cb(SweepProgress {
                     done,
                     total: n,
-                    benchmark: cfgs_ref[idx].benchmark.clone(),
-                    node: cfgs_ref[idx].node,
-                    target_core: cfgs_ref[idx].target_core,
+                    benchmark: cfgs[idx].benchmark.clone(),
+                    node: cfgs[idx].node,
+                    target_core: cfgs[idx].target_core,
                 });
             }
         };
         let _run = span!("sweep.run");
         if let [i] = *item {
-            let mut cfg = cfgs_ref[i].clone();
-            if force_serial {
-                cfg.analysis = cfg.analysis.serial();
-            }
-            let r = run_sim_in(cfg, arena);
+            let r = run_sim_in(cfg_of(i), arena);
             lane_done(0);
             vec![(i, r)]
         } else {
-            let batch_cfgs: Vec<SimConfig> = item
-                .iter()
-                .map(|&i| {
-                    let mut cfg = cfgs_ref[i].clone();
-                    if force_serial {
-                        cfg.analysis = cfg.analysis.serial();
-                    }
-                    cfg
-                })
-                .collect();
-            let rs = run_batch_in(batch_cfgs, arena, Some(&lane_done));
+            let lanes = item.iter().map(|&i| cfg_of(i)).collect();
+            let rs = run_batch_in(lanes, arena, Some(&lane_done));
             item.iter().copied().zip(rs).collect()
         }
     };
 
     let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
-    if workers == 1 {
-        // Degenerate pool: run inline on the caller thread, still
-        // arena-backed so same-geometry runs factor once.
-        let mut arena = SweepArena::new();
-        for item in &items {
-            for (i, r) in run_item(item, &mut arena) {
-                results[i] = Some(r);
+    let slots = parking_lot::Mutex::new(&mut results);
+    // Every worker claims the next unclaimed item from one shared cursor.
+    // Items are sorted widest first, so this realizes the largest-first
+    // assignment the partition balanced; no item is ever re-queued, so a
+    // cursor past the end is the retirement signal.
+    let cursor = AtomicUsize::new(0);
+    let drain = |arena: &mut SweepArena| {
+        while let Some(item) = items.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let out = run_item(item, arena);
+            let mut slots = slots.lock();
+            for (i, r) in out {
+                slots[i] = Some(r);
             }
         }
+    };
+    if workers == 1 {
+        // Degenerate pool: the same loop inline on the caller thread, still
+        // arena-backed so same-geometry runs factor once.
+        drain(&mut SweepArena::new());
     } else {
-        // Chunked injector: work items enter as contiguous index ranges of
-        // ~1/4 of a fair share, so workers refill a few items at a time
-        // (amortizing the injector lock) while the tail still balances
-        // across the pool.
-        let chunk = (items.len() / (workers * 4)).max(1);
-        let mut backlog: VecDeque<Range<usize>> = VecDeque::new();
-        let mut at = 0;
-        while at < items.len() {
-            let end = (at + chunk).min(items.len());
-            backlog.push_back(at..end);
-            at = end;
-        }
-        let injector = parking_lot::Mutex::new(backlog);
-        let locals: Vec<parking_lot::Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|_| parking_lot::Mutex::new(VecDeque::new()))
-            .collect();
-        let results_mutex = parking_lot::Mutex::new(&mut results);
-        let items_ref = &items;
-        let run_item_ref = &run_item;
-        // Worker donation: a worker whose all-empty scan finds no job left
-        // retires — every remaining run is already claimed — and bumps this
-        // counter on its way out. Each in-flight run's thermal solver reads
-        // the counter at solve time and widens its triangular-solve shard
-        // budget by that many threads, so the runs on the critical path
-        // inherit the pool's idle capacity instead of leaving it parked.
-        // Purely a thread-budget transfer: results are bit-identical.
-        let donated = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|scope| {
-            for me in 0..workers {
-                let injector = &injector;
-                let locals = &locals;
-                let results_mutex = &results_mutex;
-                let donated = Arc::clone(&donated);
-                scope.spawn(move || {
-                    let mut arena = SweepArena::with_donated(Arc::clone(&donated));
-                    while let Some(it) = next_job(me, injector, locals) {
-                        let out = run_item_ref(&items_ref[it], &mut arena);
-                        let mut slots = results_mutex.lock();
-                        for (i, r) in out {
-                            slots[i] = Some(r);
-                        }
-                    }
-                    donated.fetch_add(1, Ordering::Relaxed);
-                    counter!("sweep.donations", 1);
-                });
+            for _ in 0..workers {
+                scope.spawn(|| drain(&mut SweepArena::new()));
             }
         });
     }
@@ -472,44 +408,62 @@ pub fn run_many_batched_with(
         .collect()
 }
 
-/// Claims the next job for worker `me`: own deque first, then a chunk from
-/// the injector (first job runs now, the rest queue locally where
-/// neighbours can steal them), then a steal from another worker's deque.
-/// `None` means every queue is empty — all remaining jobs are already
-/// claimed by other workers, so `me` can retire; nothing re-enqueues.
-fn next_job(
-    me: usize,
-    injector: &parking_lot::Mutex<VecDeque<Range<usize>>>,
-    locals: &[parking_lot::Mutex<VecDeque<usize>>],
-) -> Option<usize> {
-    if let Some(i) = locals[me].lock().pop_front() {
-        return Some(i);
-    }
-    let grabbed = {
-        let mut inj = injector.lock();
-        let chunk = inj.pop_front();
-        if chunk.is_some() {
-            counter!("sweep.queue_depth", inj.len());
-        }
-        chunk
-    };
-    if let Some(mut range) = grabbed {
-        let first = range.next();
-        if range.start < range.end {
-            locals[me].lock().extend(range);
-        }
-        return first;
-    }
-    // Steal from the *back* of a victim's deque — the jobs its owner would
-    // reach last — scanning neighbours round-robin from our right.
-    for k in 1..locals.len() {
-        let victim = (me + k) % locals.len();
-        if let Some(i) = locals[victim].lock().pop_back() {
-            counter!("sweep.steal", 1);
-            return Some(i);
+/// Splits geometry groups of `sizes[g]` jobs into work items for a pool of
+/// `pool` workers. Each item is `(g, members)`: a contiguous range of
+/// positions within group `g`, at most `batch` wide. Items come widest
+/// first (ties in group order), the order the pool claims them in.
+///
+/// Each group starts at `ceil(size / batch)` chunks whose widths differ by
+/// at most one. While the largest-first assignment of the items to `pool`
+/// workers leaves the busiest one above `ceil(N / pool)` lanes, the group
+/// holding the widest chunk gets one more chunk and is split evenly again.
+/// With `pool == 1` the bound is `N` itself, so no group splits further.
+/// A pure function of its arguments: the partition only decides how runs
+/// share a solve, never what they compute.
+fn partition(sizes: &[usize], batch: usize, pool: usize) -> Vec<(usize, Range<usize>)> {
+    let batch = batch.max(1);
+    let pool = pool.max(1);
+    let bound = sizes.iter().sum::<usize>().div_ceil(pool);
+    let mut chunks: Vec<usize> = sizes.iter().map(|s| s.div_ceil(batch)).collect();
+    loop {
+        let mut items: Vec<(usize, Range<usize>)> = sizes
+            .iter()
+            .zip(&chunks)
+            .enumerate()
+            .flat_map(|(g, (&size, &parts))| even_split(size, parts).map(move |r| (g, r)))
+            .collect();
+        items.sort_by_key(|(_, r)| Reverse(r.len()));
+        match items.first() {
+            // A widest chunk of one lane means every chunk is one lane wide,
+            // which the largest-first assignment always balances.
+            Some(&(g, ref widest)) if widest.len() > 1 && busiest_load(&items, pool) > bound => {
+                chunks[g] += 1;
+            }
+            _ => return items,
         }
     }
-    None
+}
+
+/// `0..len` split into `parts` contiguous ranges whose lengths differ by at
+/// most one, longer ranges first.
+fn even_split(len: usize, parts: usize) -> impl Iterator<Item = Range<usize>> {
+    let (q, r) = (len / parts.max(1), len % parts.max(1));
+    (0..parts).map(move |k| {
+        let start = k * q + k.min(r);
+        start..start + q + usize::from(k < r)
+    })
+}
+
+/// The busiest worker's lane count when `items` (widest first) go one by
+/// one to the least-loaded of `pool` workers.
+fn busiest_load(items: &[(usize, Range<usize>)], pool: usize) -> usize {
+    let mut loads = vec![0; pool];
+    for (_, members) in items {
+        if let Some(least) = loads.iter_mut().min() {
+            *least += members.len();
+        }
+    }
+    loads.into_iter().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -517,6 +471,7 @@ mod tests {
     use super::*;
     use hotgauge_floorplan::tech::TechNode;
     use hotgauge_thermal::warmup::Warmup;
+    use proptest::prelude::*;
 
     fn quick_cfg(benchmark: &str) -> SimConfig {
         let mut c = SimConfig::new(TechNode::N7, benchmark);
@@ -699,6 +654,66 @@ mod tests {
         for (g, w) in again.iter().zip(&want) {
             assert_eq!(g.records, w.records);
             assert_eq!(g.final_frame, w.final_frame);
+        }
+    }
+
+    /// Item widths of each group, in member order.
+    fn group_widths(sizes: &[usize], batch: usize, pool: usize) -> Vec<Vec<usize>> {
+        let mut items = partition(sizes, batch, pool);
+        items.sort_by_key(|(g, r)| (*g, r.start));
+        let mut widths = vec![Vec::new(); sizes.len()];
+        for (g, r) in items {
+            widths[g].push(r.len());
+        }
+        widths
+    }
+
+    #[test]
+    fn partition_balances_the_example_shapes() {
+        // fig11: 21 same-geometry runs at batch 8 on two workers. Three
+        // chunks of 7 load one worker with 14 lanes; four load 11 and 10.
+        assert_eq!(group_widths(&[21], 8, 2), vec![vec![6, 5, 5, 5]]);
+        // sec5b-like: three groups of 4 on two workers split only the first.
+        assert_eq!(
+            group_widths(&[4, 4, 4], 8, 2),
+            vec![vec![2, 2], vec![4], vec![4]]
+        );
+        // Ten groups of 3 already put 15 lanes on each of two workers.
+        assert_eq!(group_widths(&[3; 10], 8, 2), vec![vec![3]; 10]);
+        // One worker never splits beyond the batch width.
+        assert_eq!(group_widths(&[21, 4], 8, 1), vec![vec![7, 7, 7], vec![4]]);
+        assert!(partition(&[], 8, 2).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn partition_covers_every_job_in_balanced_single_geometry_items(
+            sizes in prop::collection::vec(1usize..40, 1..9),
+            batch in 1usize..17,
+            pool in 1usize..9,
+        ) {
+            let items = partition(&sizes, batch, pool);
+            // Every member of every group appears exactly once; a member
+            // range is ascending, so each item keeps input order.
+            let mut seen: Vec<Vec<usize>> = sizes.iter().map(|&s| vec![0; s]).collect();
+            for (g, members) in &items {
+                prop_assert!(!members.is_empty() && members.len() <= batch);
+                members.clone().for_each(|m| seen[*g][m] += 1);
+            }
+            prop_assert!(seen.iter().flatten().all(|&c| c == 1));
+            // Widest first: the order the pool claims items in.
+            prop_assert!(items.windows(2).all(|w| w[0].1.len() >= w[1].1.len()));
+            for (g, widths) in group_widths(&sizes, batch, pool).iter().enumerate() {
+                let (lo, hi) = (widths.iter().min(), widths.iter().max());
+                prop_assert!(hi.zip(lo).is_some_and(|(h, l)| h - l <= 1));
+                if pool == 1 {
+                    prop_assert_eq!(widths.len(), sizes[g].div_ceil(batch));
+                }
+            }
+            let lanes: usize = sizes.iter().sum();
+            prop_assert!(busiest_load(&items, pool) <= lanes.div_ceil(pool));
         }
     }
 

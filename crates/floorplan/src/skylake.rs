@@ -311,7 +311,9 @@ impl SkylakeProxy {
         let die = Rect::new(0.0, 0.0, die_w, die_h);
         let mut name = format!("skylake_proxy_{}", self.node.label());
         for (k, f) in &self.unit_scales {
-            name.push_str(&format!("_{}x{:.0}", k.label(), f));
+            // The exact factor (`2`, `1.5`): names key the idle warm-up
+            // cache, so distinct scales must never share one.
+            name.push_str(&format!("_{}x{}", k.label(), f));
         }
         let fp = Floorplan::new(name, die, units);
         if self.ic_area_factor > 1.0 {

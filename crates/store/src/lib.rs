@@ -23,7 +23,7 @@
 //!   verify schema, address, and content key, quarantining (never serving)
 //!   anything torn or stale. [`store::DeltaBasis`] captures a previous
 //!   sweep's key set for delta mode.
-//! * [`sweep`] — [`sweep::run_many_stored_with`]: the work-stealing
+//! * [`sweep`] — [`sweep::run_many_stored_with`]: the sweep
 //!   executor with a store in front. Hits stream straight from disk,
 //!   misses run through `hotgauge_core::run_many_batched_with` unchanged,
 //!   so results are bit-identical to a storeless sweep in either case.

@@ -1,4 +1,4 @@
-//! The work-stealing sweep executor with a result store in front.
+//! The sweep executor with a result store in front.
 //!
 //! [`run_many_stored_with`] partitions a sweep into store hits and misses:
 //! hits stream straight from disk (after full snapshot verification),

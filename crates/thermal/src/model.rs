@@ -21,7 +21,6 @@
 //! automatically falls back to CG when the factorization rejects the matrix
 //! (envelope over budget — see DESIGN.md, "Solver strategy").
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::chol::{CholOptions, CholeskyFactor};
@@ -367,11 +366,6 @@ pub struct ThermalSim {
     /// Threading never changes results — the sweeps are bit-identical at
     /// every budget — so this is purely a performance knob.
     solver_threads: usize,
-    /// Live count of sweep-executor workers donated to this simulation's
-    /// solves (see `hotgauge-core`'s sweep executor): added on top of
-    /// `solver_threads` at solve time so the run on the critical path can
-    /// use threads that have already retired from the work-stealing scan.
-    donated: Option<Arc<AtomicUsize>>,
 }
 
 impl ThermalSim {
@@ -397,7 +391,6 @@ impl ThermalSim {
             },
             chol: CholOptions::default(),
             solver_threads: 1,
-            donated: None,
         }
     }
 
@@ -414,26 +407,13 @@ impl ThermalSim {
         self.solver_threads = threads;
     }
 
-    /// Installs (or clears) the idle-worker donation counter shared with a
-    /// sweep executor. The current value of the counter is added to the
-    /// solve-time thread budget, letting retired sweep workers boost the
-    /// run still on the critical path.
-    pub fn set_donated_workers(&mut self, donated: Option<Arc<AtomicUsize>>) {
-        self.donated = donated;
-    }
-
     /// The thread budget for the next triangular sweep: the configured
-    /// budget (auto-resolved) plus any donated idle sweep workers.
+    /// budget, with `0` resolved to one thread per hardware thread.
     fn effective_solver_threads(&self) -> usize {
-        let base = match self.solver_threads {
+        match self.solver_threads {
             0 => crate::sparse::hardware_threads(),
             n => n,
-        };
-        let donated = self
-            .donated
-            .as_ref()
-            .map_or(0, |d| d.load(Ordering::Relaxed));
-        base.saturating_add(donated)
+        }
     }
 
     /// The configured solver strategy (what was requested, not necessarily

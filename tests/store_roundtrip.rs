@@ -14,6 +14,7 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
+use hotgauge_core::analysis::AnalysisConfig;
 use hotgauge_core::pipeline::{run_sim, RunResult, SimConfig};
 use hotgauge_floorplan::tech::TechNode;
 use hotgauge_store::{canonical_string, key_of_value, run_key, ResultStore};
@@ -245,6 +246,17 @@ fn golden_run_key_is_pinned() {
     assert_eq!(
         run_key(&pinned_cfg()).as_hex(),
         "521f003a2db7132dadad30db7ea2636a"
+    );
+}
+
+/// Every `SimConfig` embeds the default `AnalysisConfig`, so the default
+/// must serialize the same on every host, or one machine's run keys would
+/// miss another machine's store.
+#[test]
+fn default_analysis_config_is_host_independent() {
+    assert_eq!(
+        serde_json::to_string(&AnalysisConfig::default()).unwrap(),
+        r#"{"threads":0,"overlap":false,"prefilter":true}"#
     );
 }
 
