@@ -12,8 +12,14 @@
 //! `run_cycles` window — the window's activity counters and every cache's
 //! access/miss counts (see `hotgauge_bench::fingerprint::core_hash`).
 //!
+//! `--thermal` pins the thermal stage instead: one line per pipeline
+//! geometry (smoke and fast presets; 14 nm, and 7 nm at IC area 1.5×)
+//! hashing an idle warm-up, solo steps and K = 8 / K = 5 lockstep steps
+//! (see `hotgauge_bench::fingerprint::thermal_hash`).
+//!
 //! ```text
 //! stream_hash [--core] [--profiles GLOB] [--instrs N]
+//! stream_hash --thermal
 //! ```
 //!
 //! `--profiles` narrows the run to benchmarks matching a `*`-wildcard
@@ -22,7 +28,7 @@
 //! — drop it to ~100k for a quick inner-loop check, raise it to deepen the
 //! differential before a sign-off run. Unknown flags and patterns matching
 //! nothing exit 2.
-use hotgauge_bench::fingerprint::{core_hash, stream_hash, SEED};
+use hotgauge_bench::fingerprint::{core_hash, stream_hash, thermal_hash, SEED, THERMAL_CASES};
 use hotgauge_workloads::spec2006;
 
 /// The `run_cycles` window `--core` hashes after the warm-up.
@@ -45,13 +51,16 @@ fn main() {
     let mut pattern: Option<String> = None;
     let mut instrs: Option<u64> = None;
     let mut core = false;
+    let mut thermal = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--help" | "-h" => {
                 println!(
                     "usage: stream_hash [--core] [--profiles GLOB] [--instrs N]\n\
+                     \x20      stream_hash --thermal\n\
                      \x20 --core           hash the core model (warm-up + one 1M-cycle window)\n\
+                     \x20 --thermal        hash the thermal stage per pipeline geometry\n\
                      \x20 --profiles GLOB  only benchmarks matching a *-wildcard pattern\n\
                      \x20 --instrs N       instructions hashed per benchmark (default 5000000),\n\
                      \x20                  or warm-up instructions under --core (default 2000000)"
@@ -59,6 +68,7 @@ fn main() {
                 return;
             }
             "--core" => core = true,
+            "--thermal" => thermal = true,
             "--profiles" => {
                 i += 1;
                 match args.get(i) {
@@ -91,6 +101,18 @@ fn main() {
             }
         }
         i += 1;
+    }
+
+    if thermal {
+        if core || pattern.is_some() || instrs.is_some() {
+            eprintln!("error: --thermal takes no other option");
+            std::process::exit(2);
+        }
+        for (preset, node, factor) in THERMAL_CASES {
+            let h = thermal_hash(preset, node, factor).expect("known preset");
+            println!("{preset} {node}@{factor} {h:016x}");
+        }
+        return;
     }
 
     let selected: Vec<&str> = spec2006::ALL_BENCHMARKS

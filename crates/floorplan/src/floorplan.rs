@@ -100,7 +100,9 @@ impl Floorplan {
         );
         let s = area_factor.sqrt();
         Floorplan {
-            name: format!("{}_areax{:.2}", self.name, area_factor),
+            // The exact factor (`1.5`, `1.504`): names key the idle warm-up
+            // memo, so factors that round alike must not share a name.
+            name: format!("{}_areax{}", self.name, area_factor),
             die: self.die.scaled(s),
             units: self
                 .units

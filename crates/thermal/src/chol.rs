@@ -21,6 +21,7 @@
 //! ([`crate::model::ThermalSim`]) falls back to CG above the budget. See
 //! DESIGN.md ("Solver strategy") for the crossover measurements.
 
+use crate::solver::SpdOperator;
 use crate::sparse::CsrMatrix;
 
 /// Hard cap on triangular-solve shards per dependency level. Matches

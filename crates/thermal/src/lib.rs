@@ -9,9 +9,9 @@
 //!
 //! * [`materials`] — thermal properties (Table II values);
 //! * [`stack`] — layer stack and domain description (Fig. 4);
-//! * [`sparse`] / [`solver`] / [`chol`] — CSR matrices, preconditioned CG,
-//!   and the factor-once skyline Cholesky for the constant backward-Euler
-//!   system;
+//! * [`sparse`] / [`stencil`] / [`solver`] / [`chol`] — CSR assembly, the
+//!   7-point stencil storage CG runs on, preconditioned CG, and the
+//!   factor-once skyline Cholesky for the constant backward-Euler system;
 //! * [`model`] — RC-network assembly, [`model::ThermalModel`] (steady) and
 //!   [`model::ThermalSim`] (transient, backward Euler, solver selected by
 //!   [`model::SolverStrategy`]);
@@ -52,6 +52,7 @@ pub mod model;
 pub mod solver;
 pub mod sparse;
 pub mod stack;
+pub mod stencil;
 pub mod warmup;
 
 pub use crate::analysis::{psi_tdp, PsiTdp, PAPER_THERMAL_BUDGET_C};
@@ -62,9 +63,10 @@ pub use crate::materials::Material;
 pub use crate::model::{step_lockstep, LockstepScratch, SolverStrategy, ThermalModel, ThermalSim};
 pub use crate::solver::{
     solve_cg, solve_cg_multi, solve_cg_with, CgConfig, CgWorkspace, MultiCgWorkspace, SolveStats,
-    MAX_LOCKSTEP_WIDTH,
+    SpdOperator, MAX_LOCKSTEP_WIDTH,
 };
 pub use crate::stack::{Layer, StackDescription, DEFAULT_BORDER_M, HS483_FILM_COEFF};
+pub use crate::stencil::{Stencil7, StencilError};
 pub use crate::warmup::{initial_state, Warmup};
 
 /// Convenient glob import of the most used types.

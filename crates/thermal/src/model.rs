@@ -20,6 +20,11 @@
 //! warm-started preconditioned CG ([`crate::solver`]). The direct path
 //! automatically falls back to CG when the factorization rejects the matrix
 //! (envelope over budget — see DESIGN.md, "Solver strategy").
+//!
+//! Both `G` and every `C/Δt + G` are held as a [`Stencil7`]: the network is
+//! a 7-point stencil on the `nx × ny × levels` grid. The assembly still goes
+//! through CSR triplets, which fixes the bits of every summed diagonal, and
+//! is converted once; a CSR copy is rebuilt only as the Cholesky input.
 
 use std::sync::Arc;
 
@@ -27,10 +32,11 @@ use crate::chol::{CholOptions, CholeskyFactor};
 use crate::frame::ThermalFrame;
 use crate::solver::{
     solve_cg, solve_cg_multi, solve_cg_with, CgConfig, CgWorkspace, MultiCgWorkspace, SolveStats,
-    MAX_LOCKSTEP_WIDTH,
+    SpdOperator, MAX_LOCKSTEP_WIDTH,
 };
-use crate::sparse::{CsrMatrix, TripletBuilder};
+use crate::sparse::TripletBuilder;
 use crate::stack::StackDescription;
+use crate::stencil::Stencil7;
 use serde::{Deserialize, Serialize};
 
 /// Which linear solver [`ThermalSim::step`] uses for the constant
@@ -83,7 +89,7 @@ pub struct ThermalModel {
     /// Layer index of each level.
     level_layer: Vec<usize>,
     /// Conductance matrix G (includes the convective diagonal term).
-    g: CsrMatrix,
+    g: Stencil7,
     /// Heat capacity per node, J/K.
     cap: Vec<f64>,
     /// Grounded (ambient) conductance per node, W/K — nonzero on top level.
@@ -182,13 +188,15 @@ impl ThermalModel {
             }
         }
 
-        let _ = levels;
+        let g = Stencil7::from_csr(&builder.build(), nx, ny, levels)
+            // hotgauge-lint: allow(L001, "the loops above add exactly the in-grid 7-point edges, each symmetrically; a failure is an assembly bug, not user input")
+            .unwrap_or_else(|e| panic!("thermal network is not a 7-point stencil: {e}"));
         Self {
             stack,
             nx,
             ny,
             level_layer,
-            g: builder.build(),
+            g,
             cap,
             conv,
             active_level: 0,
@@ -211,7 +219,7 @@ impl ThermalModel {
     }
 
     /// The conductance matrix (for inspection/testing).
-    pub fn conductance(&self) -> &CsrMatrix {
+    pub fn conductance(&self) -> &Stencil7 {
         &self.g
     }
 
@@ -332,7 +340,7 @@ enum SysSolver {
 #[derive(Debug, Clone)]
 struct SysCache {
     dt: f64,
-    m: Arc<CsrMatrix>,
+    m: Arc<Stencil7>,
     solver: SysSolver,
 }
 
@@ -488,8 +496,10 @@ impl ThermalSim {
         m.add_to_diagonal(&cdt);
         let m = Arc::new(m);
         let solver = match self.strategy {
-            SolverStrategy::Cg => SysSolver::Cg(CgWorkspace::new(&m)),
-            SolverStrategy::DirectCholesky => match CholeskyFactor::factor(&m, &self.chol) {
+            SolverStrategy::Cg => SysSolver::Cg(CgWorkspace::new(&*m)),
+            // The factor takes CSR; the copy lives only for the attempt.
+            SolverStrategy::DirectCholesky => match CholeskyFactor::factor(&m.to_csr(), &self.chol)
+            {
                 Ok(f) => SysSolver::Direct {
                     factor: Arc::new(f),
                     work: vec![0.0; m.n()],
@@ -499,7 +509,7 @@ impl ThermalSim {
                     // crossover where triangular sweeps stream more memory
                     // than warm-started CG touches. Fall back.
                     hotgauge_telemetry::counter!("thermal.direct_fallbacks", 1);
-                    SysSolver::Cg(CgWorkspace::new(&m))
+                    SysSolver::Cg(CgWorkspace::new(&*m))
                 }
             },
         };
@@ -553,7 +563,7 @@ impl ThermalSim {
                     *pi = tn;
                 }
                 self.have_prev = true;
-                let stats = solve_cg_with(&cache.m, &rhs, &mut self.t, &self.cg, ws);
+                let stats = solve_cg_with(&*cache.m, &rhs, &mut self.t, &self.cg, ws);
                 hotgauge_telemetry::counter!("thermal.cg_iterations", stats.iterations);
                 hotgauge_telemetry::counter!("thermal.cg_residual", stats.relative_residual);
                 stats
@@ -634,7 +644,7 @@ pub struct LockstepScratch {
     q: Vec<f64>,
     /// CG workspace keyed by the system matrix it was preconditioned for
     /// (rebuilt when the batch's `Δt` — and hence the matrix — changes).
-    cg: Option<(Arc<CsrMatrix>, MultiCgWorkspace)>,
+    cg: Option<(Arc<Stencil7>, MultiCgWorkspace)>,
     /// Per-lane outcomes of the last step.
     stats: Vec<SolveStats>,
 }
@@ -778,11 +788,11 @@ pub fn step_lockstep<'a>(
                 None => true,
             };
             if rebuild {
-                scratch.cg = Some((Arc::clone(&m), MultiCgWorkspace::new(&m, k)));
+                scratch.cg = Some((Arc::clone(&m), MultiCgWorkspace::new(&*m, k)));
             }
             // hotgauge-lint: allow(L001, "the rebuild branch above just filled scratch.cg")
             let (_, ws) = scratch.cg.as_mut().expect("workspace built above");
-            solve_cg_multi(&m, &scratch.rhs, &mut scratch.x, &cg0, ws);
+            solve_cg_multi(&*m, &scratch.rhs, &mut scratch.x, &cg0, ws);
             for stats in ws.stats() {
                 hotgauge_telemetry::counter!("thermal.cg_iterations", stats.iterations);
                 hotgauge_telemetry::counter!("thermal.cg_residual", stats.relative_residual);
@@ -1040,7 +1050,7 @@ mod tests {
         let s = StackDescription::client_cpu(30, 24, 200.0);
         let model = ThermalModel::new(s);
         assert!(model.node_count() > 0);
-        assert!(model.conductance().is_symmetric(1e-9));
+        assert!(model.conductance().to_csr().is_symmetric(0.0));
     }
 
     #[test]

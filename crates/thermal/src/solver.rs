@@ -8,22 +8,69 @@
 //! [`solve_cg_with`] allocates.
 //!
 //! Each iteration runs exactly three passes over memory: a fused
-//! SpMV + `p·Ap` dot ([`crate::sparse::CsrMatrix::mul_vec_dot`]), one fused
-//! update of `x`, `r`, `z` that also reduces `r·z`, and the `p` update.
-//! Convergence is checked on the preconditioned residual norm `√(r·z)` that
-//! the fused pass already produces, so no separate `‖r‖` pass is needed
-//! inside the loop; the true relative residual is computed once on exit.
-//! The O(n) passes shard across scoped threads above a crossover length,
-//! mirroring the SpMV sharding in [`crate::sparse`].
+//! SpMV + `p·Ap` dot ([`SpdOperator::mul_vec_dot`]), one fused update of
+//! `x`, `r`, `z` that also reduces `r·z`, and the `p` update. Convergence
+//! is checked on the preconditioned residual norm `√(r·z)` that the fused
+//! pass already produces, so no separate `‖r‖` pass is needed inside the
+//! loop; the true relative residual is computed once on exit.
+//!
+//! The solvers are generic over [`SpdOperator`]: the thermal model runs
+//! them on its [`crate::stencil::Stencil7`], and the property tests on
+//! general [`crate::sparse::CsrMatrix`] RC networks. Both operators
+//! accumulate every row in the same order, so a solve's bits do not
+//! depend on which storage holds the matrix.
 
 use std::sync::Arc;
 
-use crate::sparse::{hardware_threads, CsrMatrix};
+/// A symmetric positive-definite operator conjugate gradients runs on.
+///
+/// `mul_vec` must accumulate each row from `0.0` in a fixed order, and
+/// `mul_vec_multi` must give every lane exactly the `mul_vec` result: the
+/// lockstep solver's bit-identity to solo solves rests on it.
+pub trait SpdOperator {
+    /// Number of rows (== columns).
+    fn n(&self) -> usize;
 
-/// Vector length below which the fused O(n) passes stay single-threaded
-/// (same reasoning as [`crate::sparse::PARALLEL_NNZ_CROSSOVER`]: a scoped
-/// spawn costs about as much as a serial pass over this many elements).
-const PARALLEL_LEN_CROSSOVER: usize = 1 << 20;
+    /// The diagonal entries.
+    fn diagonal(&self) -> Vec<f64>;
+
+    /// `y = A x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector lengths do not match the dimension.
+    fn mul_vec(&self, x: &[f64], y: &mut [f64]);
+
+    /// `y = A x`, returning `xᵀ A x` — the fused SpMV + dot the CG
+    /// iteration needs (`p·Ap`). The dot is summed in ascending order from
+    /// `-0.0`, as `Iterator::sum` does.
+    fn mul_vec_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
+        self.mul_vec(x, y);
+        x.iter().zip(y.iter()).map(|(a, b)| a * b).sum()
+    }
+
+    /// `y = A x` per lane over `[n × k]` node-major, lane-minor blocks
+    /// (`x[node * k + lane]`); lane `l` of `y` is bitwise equal to
+    /// [`Self::mul_vec`] on lane `l` of `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0` or the block lengths are not `n * k`.
+    fn mul_vec_multi(&self, k: usize, x: &[f64], y: &mut [f64]);
+
+    /// [`Self::mul_vec_multi`] plus `pap[l] = xₗᵀ A xₗ` per lane, summed in
+    /// ascending node order from `0.0`.
+    fn mul_vec_dot_multi(&self, k: usize, x: &[f64], y: &mut [f64], pap: &mut [f64]) {
+        assert_eq!(pap.len(), k);
+        self.mul_vec_multi(k, x, y);
+        pap.fill(0.0);
+        for (xrow, yrow) in x.chunks_exact(k).zip(y.chunks_exact(k)) {
+            for ((pl, &xl), &yl) in pap.iter_mut().zip(xrow).zip(yrow) {
+                *pl += xl * yl;
+            }
+        }
+    }
+}
 
 /// Outcome of a CG solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,7 +134,7 @@ impl CgWorkspace {
     /// # Panics
     ///
     /// Panics if the matrix has a non-positive diagonal entry (not SPD).
-    pub fn new(a: &CsrMatrix) -> Self {
+    pub fn new<A: SpdOperator + ?Sized>(a: &A) -> Self {
         Self::with_preconditioner(inverted_diagonal(a).into())
     }
 
@@ -124,7 +171,7 @@ impl CgWorkspace {
 /// # Panics
 ///
 /// Panics if the matrix has a non-positive diagonal entry (not SPD).
-fn inverted_diagonal(a: &CsrMatrix) -> Vec<f64> {
+fn inverted_diagonal<A: SpdOperator + ?Sized>(a: &A) -> Vec<f64> {
     a.diagonal()
         .into_iter()
         .map(|d| {
@@ -142,7 +189,12 @@ fn inverted_diagonal(a: &CsrMatrix) -> Vec<f64> {
 ///
 /// Panics if dimensions disagree or the matrix has a non-positive diagonal
 /// entry (not SPD).
-pub fn solve_cg(a: &CsrMatrix, b: &[f64], x: &mut [f64], cfg: &CgConfig) -> SolveStats {
+pub fn solve_cg<A: SpdOperator + ?Sized>(
+    a: &A,
+    b: &[f64],
+    x: &mut [f64],
+    cfg: &CgConfig,
+) -> SolveStats {
     let mut ws = CgWorkspace::new(a);
     solve_cg_with(a, b, x, cfg, &mut ws)
 }
@@ -154,8 +206,8 @@ pub fn solve_cg(a: &CsrMatrix, b: &[f64], x: &mut [f64], cfg: &CgConfig) -> Solv
 /// # Panics
 ///
 /// Panics if dimensions disagree or `ws` was built for a different size.
-pub fn solve_cg_with(
-    a: &CsrMatrix,
+pub fn solve_cg_with<A: SpdOperator + ?Sized>(
+    a: &A,
     b: &[f64],
     x: &mut [f64],
     cfg: &CgConfig,
@@ -166,7 +218,6 @@ pub fn solve_cg_with(
     assert_eq!(x.len(), n);
     assert_eq!(ws.n(), n, "workspace built for a different matrix size");
     let _span = hotgauge_telemetry::span!("thermal.cg_solve");
-    let threads = threads_for_len(n);
     if !ws.has_scratch() {
         // First solve on this workspace: every vector is fully written
         // before it is read, so fresh zeroed storage is all it needs.
@@ -226,22 +277,16 @@ pub fn solve_cg_with(
             return finish(&ws.r, it, false);
         }
         let alpha = rz / pap;
-        let rz_new = fused_axpy_precond(
-            x,
-            &mut ws.r,
-            &mut ws.z,
-            &ws.p,
-            &ws.ap,
-            &ws.inv_diag,
-            alpha,
-            threads,
-        );
+        let rz_new =
+            fused_axpy_precond(x, &mut ws.r, &mut ws.z, &ws.p, &ws.ap, &ws.inv_diag, alpha);
         if rz_new <= cfg.tolerance * cfg.tolerance * nb2_prec {
             return finish(&ws.r, it, true);
         }
         let beta = rz_new / rz;
         rz = rz_new;
-        fused_p_update(&mut ws.p, &ws.z, beta, threads);
+        for (pi, &zi) in ws.p.iter_mut().zip(&ws.z) {
+            *pi = zi + beta * *pi;
+        }
     }
 
     finish(&ws.r, cfg.max_iterations, false)
@@ -275,7 +320,7 @@ impl MultiCgWorkspace {
     /// # Panics
     ///
     /// Panics if `k == 0` or the matrix has a non-positive diagonal entry.
-    pub fn new(a: &CsrMatrix, k: usize) -> Self {
+    pub fn new<A: SpdOperator + ?Sized>(a: &A, k: usize) -> Self {
         assert!((1..=MAX_LOCKSTEP_WIDTH).contains(&k));
         let n = a.n();
         let inv_diag = inverted_diagonal(a);
@@ -327,19 +372,17 @@ impl MultiCgWorkspace {
 /// never touched again) while the rest keep iterating.
 ///
 /// **Bit-exactness:** every lane performs exactly the floating-point
-/// operation sequence of a solo [`solve_cg_with`] call on the serial
-/// (sub-[`PARALLEL_LEN_CROSSOVER`]) path — same accumulation orders in the
-/// norm folds, SpMV, fused update, and `p` update, same per-lane
-/// `α`/`β`/convergence decisions — so each column of `x` and each
-/// [`SolveStats`] is bitwise identical to its solo counterpart for all
-/// `n < PARALLEL_LEN_CROSSOVER` (every grid this workspace targets).
-/// Per-lane outcomes land in [`MultiCgWorkspace::stats`].
+/// operation sequence of a solo [`solve_cg_with`] call — same accumulation
+/// orders in the norm folds, SpMV, fused update, and `p` update, same
+/// per-lane `α`/`β`/convergence decisions — so each column of `x` and each
+/// [`SolveStats`] is bitwise identical to its solo counterpart. Per-lane
+/// outcomes land in [`MultiCgWorkspace::stats`].
 ///
 /// # Panics
 ///
 /// Panics if block lengths disagree with the workspace shape.
-pub fn solve_cg_multi(
-    a: &CsrMatrix,
+pub fn solve_cg_multi<A: SpdOperator + ?Sized>(
+    a: &A,
     b: &[f64],
     x: &mut [f64],
     cfg: &CgConfig,
@@ -505,49 +548,9 @@ pub fn solve_cg_multi(
 /// support. The sweep executor batches at 4 or 8; 16 leaves headroom.
 pub const MAX_LOCKSTEP_WIDTH: usize = 16;
 
-fn threads_for_len(n: usize) -> usize {
-    if n < PARALLEL_LEN_CROSSOVER {
-        1
-    } else {
-        hardware_threads().min(n / PARALLEL_LEN_CROSSOVER + 1)
-    }
-}
-
 /// The fused CG update: `x += α p`, `r −= α ap`, `z = D⁻¹ r`; returns the
 /// new `r·z`. One pass over six streams instead of four separate loops.
-#[allow(clippy::too_many_arguments)]
 fn fused_axpy_precond(
-    x: &mut [f64],
-    r: &mut [f64],
-    z: &mut [f64],
-    p: &[f64],
-    ap: &[f64],
-    inv_diag: &[f64],
-    alpha: f64,
-    threads: usize,
-) -> f64 {
-    if threads <= 1 {
-        return fused_axpy_precond_serial(x, r, z, p, ap, inv_diag, alpha);
-    }
-    let chunk = x.len().div_ceil(threads);
-    let mut partials = vec![0.0f64; x.chunks(chunk).len()];
-    std::thread::scope(|scope| {
-        let iter = x
-            .chunks_mut(chunk)
-            .zip(r.chunks_mut(chunk))
-            .zip(z.chunks_mut(chunk))
-            .zip(p.chunks(chunk))
-            .zip(ap.chunks(chunk))
-            .zip(inv_diag.chunks(chunk))
-            .zip(partials.iter_mut());
-        for ((((((xc, rc), zc), pc), apc), dc), out) in iter {
-            scope.spawn(move || *out = fused_axpy_precond_serial(xc, rc, zc, pc, apc, dc, alpha));
-        }
-    });
-    partials.iter().sum()
-}
-
-fn fused_axpy_precond_serial(
     x: &mut [f64],
     r: &mut [f64],
     z: &mut [f64],
@@ -568,26 +571,6 @@ fn fused_axpy_precond_serial(
     rz
 }
 
-/// `p = z + β p`, sharded like the other kernels.
-fn fused_p_update(p: &mut [f64], z: &[f64], beta: f64, threads: usize) {
-    if threads <= 1 {
-        for (pi, &zi) in p.iter_mut().zip(z) {
-            *pi = zi + beta * *pi;
-        }
-        return;
-    }
-    let chunk = p.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (pc, zc) in p.chunks_mut(chunk).zip(z.chunks(chunk)) {
-            scope.spawn(move || {
-                for (pi, &zi) in pc.iter_mut().zip(zc) {
-                    *pi = zi + beta * *pi;
-                }
-            });
-        }
-    });
-}
-
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
@@ -599,7 +582,7 @@ fn norm2(v: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::TripletBuilder;
+    use crate::sparse::{CsrMatrix, TripletBuilder};
 
     /// 1-D Poisson matrix with Dirichlet-like grounding at both ends.
     fn poisson(n: usize) -> CsrMatrix {
@@ -844,35 +827,6 @@ mod tests {
         for s in ws2.stats() {
             assert!(!s.converged);
             assert_eq!(s.iterations, 2);
-        }
-    }
-
-    #[test]
-    fn fused_kernels_match_separate_passes_across_thread_counts() {
-        let n = 1537;
-        let mut x1: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-        let mut r1: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).cos()).collect();
-        let mut z1 = vec![0.0; n];
-        let p: Vec<f64> = (0..n).map(|i| ((i % 13) as f64) - 6.0).collect();
-        let ap: Vec<f64> = (0..n).map(|i| ((i % 11) as f64) - 5.0).collect();
-        let d: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + (i % 5) as f64)).collect();
-        let alpha = 0.37;
-        let rz1 = fused_axpy_precond_serial(&mut x1, &mut r1, &mut z1, &p, &ap, &d, alpha);
-        for threads in [2, 3, 5] {
-            let mut x2: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-            let mut r2: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).cos()).collect();
-            let mut z2 = vec![0.0; n];
-            let rz2 = fused_axpy_precond(&mut x2, &mut r2, &mut z2, &p, &ap, &d, alpha, threads);
-            assert_eq!(x1, x2, "threads={threads}");
-            assert_eq!(r1, r2);
-            assert_eq!(z1, z2);
-            assert!((rz1 - rz2).abs() < 1e-9 * rz1.abs().max(1.0));
-
-            let mut p1 = p.clone();
-            fused_p_update(&mut p1, &z1, 0.25, 1);
-            let mut p2 = p.clone();
-            fused_p_update(&mut p2, &z2, 0.25, threads);
-            assert_eq!(p1, p2);
         }
     }
 }

@@ -1,19 +1,13 @@
 //! Minimal sparse linear algebra: CSR matrices built from triplets.
 //!
-//! The thermal RC network produces symmetric positive-definite systems with
-//! ~7 nonzeros per row; CSR plus either conjugate gradients
-//! (see [`crate::solver`]) or a factor-once direct solver
-//! (see [`crate::chol`]) is all that is needed.
-//!
-//! The matrix-vector kernels shard across `std::thread::scope` row chunks
-//! once a matrix is large enough to amortize thread spawning; below
-//! [`PARALLEL_NNZ_CROSSOVER`] they stay serial so the small matrices used by
-//! tests and coarse grids never pay the spawn cost.
+//! The thermal RC network is assembled here as triplets and summed into a
+//! CSR matrix, then copied into the structured [`crate::stencil::Stencil7`]
+//! that conjugate gradients (see [`crate::solver`]) runs on. CSR remains
+//! the general form: the factor-once direct solver (see [`crate::chol`])
+//! takes it as input, and the solver property tests run CG on random RC
+//! networks that are not grids.
 
-/// Nonzeros below which `mul_vec` stays single-threaded. Spawning a scoped
-/// thread costs tens of microseconds; a serial SpMV pass over this many
-/// nonzeros costs about the same, so parallelism only pays above it.
-pub const PARALLEL_NNZ_CROSSOVER: usize = 1 << 20;
+use crate::solver::SpdOperator;
 
 /// Detected hardware parallelism, cached after the first query.
 pub fn hardware_threads() -> usize {
@@ -26,17 +20,6 @@ pub fn hardware_threads() -> usize {
     })
 }
 
-/// Threads worth using for `work` units of row-chunk work: 1 below the
-/// crossover, then one more thread per crossover's worth of nonzeros up to
-/// the hardware limit.
-fn threads_for(work: usize) -> usize {
-    if work < PARALLEL_NNZ_CROSSOVER {
-        1
-    } else {
-        hardware_threads().min(work / PARALLEL_NNZ_CROSSOVER + 1)
-    }
-}
-
 /// A compressed-sparse-row matrix.
 #[derive(Debug, Clone)]
 pub struct CsrMatrix {
@@ -47,9 +30,22 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Number of rows (== columns; all matrices here are square).
-    pub fn n(&self) -> usize {
-        self.n
+    /// A matrix from raw CSR arrays: `row_ptr` has `n + 1` ascending
+    /// offsets into `col_idx`/`values`, columns ascending within a row.
+    pub(crate) fn from_parts(
+        n: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(row_ptr.len(), n + 1);
+        debug_assert_eq!(col_idx.len(), values.len());
+        Self {
+            n,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// Number of stored nonzeros.
@@ -62,128 +58,6 @@ impl CsrMatrix {
         let lo = self.row_ptr[i];
         let hi = self.row_ptr[i + 1];
         (&self.col_idx[lo..hi], &self.values[lo..hi])
-    }
-
-    /// The diagonal entries (0 where a row has no stored diagonal).
-    pub fn diagonal(&self) -> Vec<f64> {
-        let mut d = vec![0.0; self.n];
-        for (i, di) in d.iter_mut().enumerate() {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                if self.col_idx[k] == i {
-                    *di = self.values[k];
-                }
-            }
-        }
-        d
-    }
-
-    /// `y = A x`, sharded across row chunks when the matrix is large enough
-    /// (see [`PARALLEL_NNZ_CROSSOVER`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector lengths do not match the matrix dimension.
-    pub fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
-        self.mul_vec_threads(x, y, threads_for(self.nnz()));
-    }
-
-    /// `y = A x` and returns `xᵀ A x` from the same pass — the fused
-    /// SpMV + dot the CG iteration needs (`p·Ap`).
-    pub fn mul_vec_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
-        self.mul_vec_threads(x, y, threads_for(self.nnz()));
-        // One reduction pass over two streams that are still cache-hot from
-        // the SpMV; cheaper than threading the accumulator through the
-        // sharded kernel.
-        x.iter().zip(y.iter()).map(|(a, b)| a * b).sum()
-    }
-
-    /// `y = A x` with an explicit worker count (1 ⇒ the serial kernel).
-    /// Exposed so equivalence tests can exercise the sharded path on any
-    /// machine regardless of its core count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector lengths do not match the matrix dimension or
-    /// `threads == 0`.
-    pub fn mul_vec_threads(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        assert!(threads >= 1);
-        if threads == 1 || self.n < 2 {
-            self.mul_vec_rows(x, y, 0);
-            return;
-        }
-        let threads = threads.min(self.n);
-        let rows_per = self.n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut rest = y;
-            let mut row0 = 0usize;
-            while !rest.is_empty() {
-                let take = rows_per.min(rest.len());
-                let (chunk, tail) = rest.split_at_mut(take);
-                let start = row0;
-                scope.spawn(move || self.mul_vec_rows(x, chunk, start));
-                rest = tail;
-                row0 += take;
-            }
-        });
-    }
-
-    /// Serial SpMV of rows `row0 .. row0 + y.len()` into `y`.
-    fn mul_vec_rows(&self, x: &[f64], y: &mut [f64], row0: usize) {
-        for (di, yi) in y.iter_mut().enumerate() {
-            let i = row0 + di;
-            let mut acc = 0.0;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            *yi = acc;
-        }
-    }
-
-    /// Multi-RHS SpMV over a structure-of-arrays block: `x` and `y` hold
-    /// `k` interleaved columns in node-major, lane-minor order
-    /// (`x[node * k + lane]`), and each row's index list is streamed **once**
-    /// for all `k` lanes. The inner lane loop runs over a contiguous slice,
-    /// so it auto-vectorizes where the column-at-a-time path reloads
-    /// `col_idx` per lane.
-    ///
-    /// Per lane the accumulation order is identical to the serial
-    /// [`Self::mul_vec`] kernel (ascending nonzeros, one final store), so
-    /// lane `l` of `y` is bitwise equal to `mul_vec` on lane `l` of `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or the block lengths are not `n * k`.
-    pub fn mul_vec_multi(&self, k: usize, x: &[f64], y: &mut [f64]) {
-        assert!(k >= 1);
-        assert_eq!(x.len(), self.n * k);
-        assert_eq!(y.len(), self.n * k);
-        for (i, yrow) in y.chunks_exact_mut(k).enumerate() {
-            yrow.fill(0.0);
-            for nz in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let v = self.values[nz];
-                let xrow = &x[self.col_idx[nz] * k..self.col_idx[nz] * k + k];
-                for (yl, &xl) in yrow.iter_mut().zip(xrow) {
-                    *yl += v * xl;
-                }
-            }
-        }
-    }
-
-    /// Multi-RHS fused SpMV + quadratic form: `y = A x` per lane via
-    /// [`Self::mul_vec_multi`], then `pap[l] = xₗᵀ A xₗ` accumulated in the
-    /// same ascending-row order as the single-RHS [`Self::mul_vec_dot`], so
-    /// every lane's dot is bitwise equal to its solo counterpart.
-    pub fn mul_vec_dot_multi(&self, k: usize, x: &[f64], y: &mut [f64], pap: &mut [f64]) {
-        assert_eq!(pap.len(), k);
-        self.mul_vec_multi(k, x, y);
-        pap.fill(0.0);
-        for (xrow, yrow) in x.chunks_exact(k).zip(y.chunks_exact(k)) {
-            for ((pl, &xl), &yl) in pap.iter_mut().zip(xrow).zip(yrow) {
-                *pl += xl * yl;
-            }
-        }
     }
 
     /// Returns `A x` as a fresh vector.
@@ -232,6 +106,61 @@ impl CsrMatrix {
             }
         }
         true
+    }
+}
+
+impl SpdOperator for CsrMatrix {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The diagonal entries (0 where a row has no stored diagonal).
+    fn diagonal(&self) -> Vec<f64> {
+        let mut d = vec![0.0; self.n];
+        for (i, di) in d.iter_mut().enumerate() {
+            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
+                if self.col_idx[k] == i {
+                    *di = self.values[k];
+                }
+            }
+        }
+        d
+    }
+
+    /// `y = A x`: each row accumulates its stored entries in ascending
+    /// column order from `0.0`.
+    fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.n);
+        assert_eq!(y.len(), self.n);
+        for (i, yi) in y.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
+                acc += self.values[k] * x[self.col_idx[k]];
+            }
+            *yi = acc;
+        }
+    }
+
+    /// Multi-RHS SpMV over a structure-of-arrays block: `x` and `y` hold
+    /// `k` interleaved columns in node-major, lane-minor order
+    /// (`x[node * k + lane]`), and each row's index list is streamed **once**
+    /// for all `k` lanes. Per lane the accumulation order is that of
+    /// [`SpdOperator::mul_vec`], so lane `l` of `y` is bitwise equal to
+    /// `mul_vec` on lane `l` of `x`.
+    fn mul_vec_multi(&self, k: usize, x: &[f64], y: &mut [f64]) {
+        assert!(k >= 1);
+        assert_eq!(x.len(), self.n * k);
+        assert_eq!(y.len(), self.n * k);
+        for (i, yrow) in y.chunks_exact_mut(k).enumerate() {
+            yrow.fill(0.0);
+            for nz in self.row_ptr[i]..self.row_ptr[i + 1] {
+                let v = self.values[nz];
+                let xrow = &x[self.col_idx[nz] * k..self.col_idx[nz] * k + k];
+                for (yl, &xl) in yrow.iter_mut().zip(xrow) {
+                    *yl += v * xl;
+                }
+            }
+        }
     }
 }
 
@@ -442,21 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_mul_vec_matches_serial() {
-        for n in [1usize, 2, 3, 17, 256, 1023] {
-            let a = random_matrix(n.max(2), 0xC0FFEE + n as u64);
-            let x: Vec<f64> = (0..a.n()).map(|i| ((i * 31 % 17) as f64) - 8.0).collect();
-            let mut serial = vec![0.0; a.n()];
-            a.mul_vec_threads(&x, &mut serial, 1);
-            for threads in [2, 3, 4, 7] {
-                let mut par = vec![0.0; a.n()];
-                a.mul_vec_threads(&x, &mut par, threads);
-                assert_eq!(serial, par, "n={n}, threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn mul_vec_dot_returns_quadratic_form() {
         let a = random_matrix(64, 99);
         let x: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin()).collect();
@@ -503,12 +417,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn threads_for_respects_crossover() {
-        assert_eq!(super::threads_for(0), 1);
-        assert_eq!(super::threads_for(PARALLEL_NNZ_CROSSOVER - 1), 1);
-        assert!(super::threads_for(PARALLEL_NNZ_CROSSOVER) >= 1);
     }
 }
