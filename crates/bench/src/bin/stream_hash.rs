@@ -17,9 +17,16 @@
 //! hashing an idle warm-up, solo steps and K = 8 / K = 5 lockstep steps
 //! (see `hotgauge_bench::fingerprint::thermal_hash`).
 //!
+//! `--run` pins the co-simulation run loop: one line per result of a fixed
+//! set of short runs (solo cold, idle and stop-at-first-hotspot runs, a
+//! 3-lane lockstep batch and a 5-job pooled sweep), each hashing every
+//! `RunResult` field except the config (see
+//! `hotgauge_bench::fingerprint::run_cases` and `run_hash`).
+//!
 //! ```text
 //! stream_hash [--core] [--profiles GLOB] [--instrs N]
 //! stream_hash --thermal
+//! stream_hash --run
 //! ```
 //!
 //! `--profiles` narrows the run to benchmarks matching a `*`-wildcard
@@ -28,7 +35,9 @@
 //! — drop it to ~100k for a quick inner-loop check, raise it to deepen the
 //! differential before a sign-off run. Unknown flags and patterns matching
 //! nothing exit 2.
-use hotgauge_bench::fingerprint::{core_hash, stream_hash, thermal_hash, SEED, THERMAL_CASES};
+use hotgauge_bench::fingerprint::{
+    core_hash, run_cases, run_hash, stream_hash, thermal_hash, SEED, THERMAL_CASES,
+};
 use hotgauge_workloads::spec2006;
 
 /// The `run_cycles` window `--core` hashes after the warm-up.
@@ -52,6 +61,7 @@ fn main() {
     let mut instrs: Option<u64> = None;
     let mut core = false;
     let mut thermal = false;
+    let mut run = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -59,8 +69,10 @@ fn main() {
                 println!(
                     "usage: stream_hash [--core] [--profiles GLOB] [--instrs N]\n\
                      \x20      stream_hash --thermal\n\
+                     \x20      stream_hash --run\n\
                      \x20 --core           hash the core model (warm-up + one 1M-cycle window)\n\
                      \x20 --thermal        hash the thermal stage per pipeline geometry\n\
+                     \x20 --run            hash the results of a fixed set of co-simulation runs\n\
                      \x20 --profiles GLOB  only benchmarks matching a *-wildcard pattern\n\
                      \x20 --instrs N       instructions hashed per benchmark (default 5000000),\n\
                      \x20                  or warm-up instructions under --core (default 2000000)"
@@ -69,6 +81,7 @@ fn main() {
             }
             "--core" => core = true,
             "--thermal" => thermal = true,
+            "--run" => run = true,
             "--profiles" => {
                 i += 1;
                 match args.get(i) {
@@ -101,6 +114,17 @@ fn main() {
             }
         }
         i += 1;
+    }
+
+    if run {
+        if thermal || core || pattern.is_some() || instrs.is_some() {
+            eprintln!("error: --run takes no other option");
+            std::process::exit(2);
+        }
+        for (label, r) in run_cases() {
+            println!("{label} {:016x}", run_hash(&r));
+        }
+        return;
     }
 
     if thermal {

@@ -1,7 +1,7 @@
-//! FNV-1a fingerprints of the workload generator, the core model and the
-//! thermal stage: the bit-exactness harness behind the `stream_hash` bin
-//! and the golden-hash tests that pin the core model and the thermal
-//! solver.
+//! FNV-1a fingerprints of the workload generator, the core model, the
+//! thermal stage and whole co-simulation runs: the bit-exactness harness
+//! behind the `stream_hash` bin and the golden-hash tests that pin the core
+//! model, the thermal solver and the run loop.
 //!
 //! Build the same fingerprint in two trees and compare: equal hashes prove
 //! a refactor left the pinned layer's behaviour unchanged.
@@ -9,7 +9,10 @@
 use std::sync::Arc;
 
 use hotgauge_core::experiments::Fidelity;
-use hotgauge_core::pipeline::{build_floorplan, SimConfig};
+use hotgauge_core::pipeline::{
+    build_floorplan, run_sim, BatchedCoSim, CoSimulation, HistSpec, RunResult, SimConfig,
+};
+use hotgauge_core::sweep::run_many_batched_with;
 use hotgauge_floorplan::{FloorplanGrid, TechNode};
 use hotgauge_perf::config::{CoreConfig, MemoryConfig};
 use hotgauge_perf::engine::CoreSim;
@@ -195,4 +198,174 @@ pub fn thermal_hash(preset: &str, node: TechNode, ic_area_factor: f64) -> Option
         }
     }
     Some(h.0)
+}
+
+fn push_f64s(h: &mut Fnv, values: &[f64]) {
+    h.push(values.len() as u64);
+    for &v in values {
+        h.push(v.to_bits());
+    }
+}
+
+fn push_counts(h: &mut Fnv, counts: &[usize]) {
+    h.push(counts.len() as u64);
+    for &c in counts {
+        h.push(c as u64);
+    }
+}
+
+/// Hash of one co-simulation result: every [`RunResult`] field except the
+/// recorded `config`, floats by their bit patterns, with every vector
+/// length and `Option` tag hashed too. Two runs hash equal only when every
+/// record, the TUH, the census, both histograms, the instruction count, the
+/// final frame and the severity series are bit-identical.
+pub fn run_hash(r: &RunResult) -> u64 {
+    let mut h = Fnv::new();
+    h.push(r.records.len() as u64);
+    for rec in &r.records {
+        for v in [
+            rec.time_s,
+            rec.max_temp_c,
+            rec.mean_temp_c,
+            rec.min_temp_c,
+            rec.max_mltd_c,
+            rec.peak_severity,
+            rec.power_w,
+            rec.ipc,
+        ] {
+            h.push(v.to_bits());
+        }
+        h.push(rec.hotspot_count as u64);
+        push_f64s(&mut h, &rec.unit_severity);
+        h.push(u64::from(rec.temp_hist.is_some()));
+        if let Some(counts) = &rec.temp_hist {
+            push_counts(&mut h, counts);
+        }
+    }
+    h.push(u64::from(r.tuh_s.is_some()));
+    h.push(r.tuh_s.map_or(0, f64::to_bits));
+    let census = r.census.ranked();
+    h.push(census.len() as u64);
+    for (label, count) in census {
+        h.push(label.len() as u64);
+        for b in label.bytes() {
+            h.push(u64::from(b));
+        }
+        h.push(count);
+    }
+    h.push(u64::from(r.delta_hist.is_some()));
+    if let Some((edges, counts)) = &r.delta_hist {
+        push_f64s(&mut h, edges);
+        push_counts(&mut h, counts);
+    }
+    h.push(r.total_instructions);
+    h.push(r.final_frame.nx as u64);
+    h.push(r.final_frame.ny as u64);
+    h.push(r.final_frame.cell_m.to_bits());
+    push_f64s(&mut h, &r.final_frame.temps);
+    push_f64s(&mut h, &r.sev_series.times_s);
+    push_f64s(&mut h, &r.sev_series.values);
+    h.0
+}
+
+/// A small cold-start run: 7 nm, 300 µm cells, one substep, 2 ms.
+fn run_case_cfg(bench: &str) -> SimConfig {
+    let mut c = SimConfig::new(TechNode::N7, bench);
+    c.cell_um = 300.0;
+    c.substeps = 1;
+    c.sample_instrs = 8_000;
+    c.max_time_s = 2e-3;
+    c.warmup = Warmup::Cold;
+    c
+}
+
+/// Detection thresholds low enough that a cold 7 nm run trips a hotspot
+/// within its first milliseconds.
+fn stop_early(c: &mut SimConfig) {
+    c.stop_at_first_hotspot = true;
+    c.detect.t_threshold_c = 60.0;
+    c.detect.mltd_threshold_c = 0.05;
+}
+
+/// A fixed set of short co-simulation runs, one labelled result per run,
+/// in order:
+///
+/// * `cold` — substeps 2, two tracked units and a temperature histogram;
+/// * `idle` — an idle-start run;
+/// * `stop` — stop at the first hotspot, prefilter on, ΔT histogram, with
+///   thresholds that stop it mid-run;
+/// * `batch.0..2` — a 3-lane [`BatchedCoSim`] whose lane 1 stops early and
+///   whose lane 2 runs longer;
+/// * `sweep.0..4` — `run_many_batched_with` at 2 threads and batch 2 over
+///   five cold jobs on two geometries.
+///
+/// The idle-warm-up memo is process-global, so the idle case has a
+/// geometry of its own: its result does not depend on what ran before it.
+pub fn run_cases() -> Vec<(String, RunResult)> {
+    let mut out = Vec::new();
+
+    let mut cold = run_case_cfg("hmmer");
+    cold.substeps = 2;
+    cold.track_units = vec!["core0.intRF".into(), "core0.fpIWin".into()];
+    cold.temp_histogram = Some(HistSpec {
+        lo: 30.0,
+        hi: 130.0,
+        bins: 20,
+    });
+    out.push(("cold".to_owned(), run_sim(cold)));
+
+    let mut idle = run_case_cfg("povray");
+    idle.cell_um = 340.0;
+    idle.warmup = Warmup::Idle;
+    out.push(("idle".to_owned(), run_sim(idle)));
+
+    let mut stop = run_case_cfg("gcc");
+    stop.substeps = 2;
+    stop_early(&mut stop);
+    stop.analysis.prefilter = true;
+    stop.delta_histogram = Some(HistSpec {
+        lo: -2.0,
+        hi: 2.0,
+        bins: 16,
+    });
+    out.push(("stop".to_owned(), run_sim(stop)));
+
+    let mut hot = run_case_cfg("povray");
+    hot.seed = 7;
+    stop_early(&mut hot);
+    let mut long = run_case_cfg("gcc");
+    long.max_time_s = 2.6e-3;
+    long.delta_histogram = Some(HistSpec {
+        lo: -2.0,
+        hi: 2.0,
+        bins: 16,
+    });
+    let lanes = [run_case_cfg("hmmer"), hot, long]
+        .into_iter()
+        .map(CoSimulation::new)
+        .collect();
+    for (l, r) in BatchedCoSim::new(lanes).run().into_iter().enumerate() {
+        out.push((format!("batch.{l}"), r));
+    }
+
+    let jobs = ["hmmer", "povray", "gcc", "hmmer", "povray"]
+        .iter()
+        .enumerate()
+        .map(|(i, bench)| {
+            let mut c = run_case_cfg(bench);
+            c.max_time_s = 1e-3;
+            c.seed = i as u64;
+            if i % 2 == 1 {
+                c.cell_um = 360.0;
+            }
+            c
+        })
+        .collect();
+    for (i, r) in run_many_batched_with(jobs, 2, 2, None)
+        .into_iter()
+        .enumerate()
+    {
+        out.push((format!("sweep.{i}"), r));
+    }
+    out
 }
