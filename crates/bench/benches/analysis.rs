@@ -79,13 +79,9 @@ fn bench_analysis(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("split", label), &frame, |b, f| {
             b.iter(|| split_reference(black_box(f), &params, &severity))
         });
-        let mut fused = FrameAnalyzer::new(params, severity, 1);
+        let mut fused = FrameAnalyzer::new(params, severity);
         group.bench_with_input(BenchmarkId::new("fused", label), &frame, |b, f| {
             b.iter(|| fused.analyze(black_box(f)))
-        });
-        let mut fused_mt = FrameAnalyzer::new(params, severity, 0);
-        group.bench_with_input(BenchmarkId::new("fused_mt", label), &frame, |b, f| {
-            b.iter(|| fused_mt.analyze(black_box(f)))
         });
     }
     group.finish();
@@ -104,7 +100,7 @@ fn bench_prefilter(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("split", label), &frame, |b, f| {
             b.iter(|| split_reference(black_box(f), &params, &severity))
         });
-        let mut az = FrameAnalyzer::new(params, severity, 1);
+        let mut az = FrameAnalyzer::new(params, severity);
         group.bench_with_input(BenchmarkId::new("prefiltered", label), &frame, |b, f| {
             b.iter(|| az.analyze_with_max(black_box(f), frame_max, true))
         });

@@ -40,8 +40,6 @@ options:
   --cell UM          thermal grid cell size in micrometers
   --solver WHICH     thermal solver: direct (factor-once Cholesky, falls
                      back to CG past the profile budget) or cg; default direct
-  --threads N        analysis threads (default: all hardware threads;
-                     results are bit-identical for any value)
   --solver-threads N shards for the direct solver's level-scheduled
                      triangular sweeps (0 = auto, default 1 = serial;
                      results are bit-identical for any value)
@@ -87,7 +85,6 @@ struct Cli {
     json_path: Option<String>,
     quiet: bool,
     progress: bool,
-    threads: Option<usize>,
 }
 
 fn parse_args(args: &[String]) -> Cli {
@@ -97,7 +94,6 @@ fn parse_args(args: &[String]) -> Cli {
     let mut json_path = None;
     let mut quiet = false;
     let mut progress = false;
-    let mut threads = None;
 
     let mut i = 0;
     while i < args.len() {
@@ -141,20 +137,6 @@ fn parse_args(args: &[String]) -> Cli {
             "--solver" => {
                 let v = flag_value(args, &mut i, "--solver");
                 cfg.solver = v.parse().unwrap_or_else(|e| fail(e));
-            }
-            "--threads" => {
-                let v = flag_value(args, &mut i, "--threads");
-                let n = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        fail(format!(
-                            "invalid thread count {v} (expected an integer >= 1)"
-                        ))
-                    });
-                cfg.analysis.threads = n;
-                threads = Some(n);
             }
             "--solver-threads" => {
                 let v = flag_value(args, &mut i, "--solver-threads");
@@ -207,7 +189,6 @@ fn parse_args(args: &[String]) -> Cli {
         json_path,
         quiet,
         progress,
-        threads,
     }
 }
 
@@ -285,11 +266,7 @@ fn main() {
             .with_config("solver", r.config.solver.as_str())
             .with_config("solver_threads", r.config.solver_threads)
             .with_config("max_time_s", r.config.max_time_s)
-            .with_config("ic_area_factor", r.config.ic_area_factor);
-        if let Some(n) = cli.threads {
-            manifest = manifest.with_config("threads", n);
-        }
-        manifest = manifest
+            .with_config("ic_area_factor", r.config.ic_area_factor)
             .with_config("lint_policy_version", hotgauge_lint::POLICY_VERSION)
             .with_config("lint_rule_count", hotgauge_lint::RULE_COUNT);
         manifest.set_results(&summary);

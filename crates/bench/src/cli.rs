@@ -5,10 +5,10 @@
 //! * `--json PATH` — write a schema-versioned [`RunManifest`] (results plus,
 //!   under `--features telemetry`, per-stage timing and solver counters)
 //!   atomically to PATH; `-` prints it to stdout.
-//! * `--threads N` — thread budget: the sweep executor's worker-pool width
-//!   for multi-run bins, and the analysis worker threads for single runs
-//!   (default: one per hardware thread; results are bit-identical either
-//!   way). Sweep bins record the realized pool shape in their manifests.
+//! * `--threads N` — the sweep executor's worker-pool width for multi-run
+//!   bins (default: one per hardware thread; results are bit-identical
+//!   either way). Sweep bins record the realized pool shape in their
+//!   manifests.
 //! * `--batch K` — lockstep batch width for sweep bins: same-geometry runs
 //!   are solved up to `K` at a time through the multi-RHS thermal path
 //!   (default: [`hotgauge_core::DEFAULT_BATCH_WIDTH`]; `1` disables
@@ -78,7 +78,7 @@ impl BinArgs {
                     println!(
                         "usage: {tool} [--json PATH] [--threads N] [--batch K] [--solver-threads N] [--store DIR [--delta PREV]] [--quiet]\n\
                          \x20 --json PATH        write the run manifest to PATH (`-` for stdout)\n\
-                         \x20 --threads N        analysis threads per run (default: all hardware threads)\n\
+                         \x20 --threads N        sweep worker-pool width (default: all hardware threads)\n\
                          \x20 --batch K          lockstep batch width for sweeps (default: {}; 1 disables)\n\
                          \x20 --solver-threads N shards for the direct solver's triangular sweeps\n\
                          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 (0 = auto, default 1 = serial; bit-identical results)\n\

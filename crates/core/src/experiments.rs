@@ -36,10 +36,7 @@ pub struct Fidelity {
     /// Simulated-time cap per run, seconds.
     pub max_time_s: f64,
     /// Thread budget: the [`crate::sweep`] executor's worker-pool width for
-    /// the multi-run drivers (`0` = one per hardware thread), and — via
-    /// [`Fidelity::apply`] — the per-run analysis threads for single runs.
-    /// When a sweep uses more than one thread the executor serial-forces
-    /// the per-run analysis, so the two never oversubscribe the machine.
+    /// the multi-run drivers (`0` = one per hardware thread).
     pub threads: usize,
     /// Lockstep batch width for the multi-run drivers: same-geometry runs
     /// are solved up to this many at a time through the multi-RHS thermal
@@ -129,16 +126,13 @@ impl Fidelity {
         }
     }
 
-    /// Applies the fidelity to a config. The thread budget also caps the
-    /// per-run analysis sharding; sweeps launched through `run_many` drop
-    /// back to serial per-run analysis when the sweep itself is parallel.
+    /// Applies the fidelity to a config.
     pub fn apply(&self, mut cfg: SimConfig) -> SimConfig {
         cfg.cell_um = self.cell_um;
         cfg.border_mm = self.border_mm;
         cfg.substeps = self.substeps;
         cfg.sample_instrs = self.sample_instrs;
         cfg.max_time_s = self.max_time_s;
-        cfg.analysis.threads = self.threads;
         cfg.solver_threads = self.solver_threads;
         cfg
     }

@@ -10,7 +10,7 @@
 //!   radius ([`mltd`]);
 //! * the **severity** metric built from three parameterized sigmoids
 //!   ([`severity`], Eq. 1–2, Fig. 7);
-//! * the fused, row-sharded **analysis stage** that evaluates all three per
+//! * the fused **analysis stage** that evaluates all three per
 //!   frame with reusable buffers and a sub-threshold prefilter
 //!   ([`analysis`]);
 //! * **TUH** (time-until-hotspot) and the series statistics used by the
@@ -68,8 +68,7 @@ pub use crate::pipeline::{run_many, run_sim, BatchedCoSim, RunResult, SimConfig,
 pub use crate::series::{percentile, rms, BoxStats, TimeSeries};
 pub use crate::severity::{peak_severity, SeverityParams, Sigmoid};
 pub use crate::sweep::{
-    pool_workers, run_batch_in, run_many_batched_with, run_sim_in, sweep_serial_forced, SweepArena,
-    DEFAULT_BATCH_WIDTH,
+    pool_workers, run_batch_in, run_many_batched_with, run_sim_in, SweepArena, DEFAULT_BATCH_WIDTH,
 };
 pub use crate::throttle::{run_throttled, ThrottlePolicy, ThrottledRunResult};
 pub use crate::units::{Celsius, Microns};

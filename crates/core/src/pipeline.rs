@@ -111,14 +111,13 @@ pub struct SimConfig {
     /// Accumulate the distribution of per-cell ΔT over each 200 µs window
     /// (Fig. 2).
     pub delta_histogram: Option<HistSpec>,
-    /// Execution strategy of the per-substep analysis stage (row sharding,
-    /// solve/analysis overlap, sub-threshold prefilter). Never changes any
-    /// result — only how fast it is computed.
+    /// The per-substep analysis stage's sub-threshold prefilter (see
+    /// [`AnalysisConfig`]).
     pub analysis: AnalysisConfig,
     /// Thread budget for the direct solver's level-scheduled triangular
-    /// sweeps (`0` = one per hardware thread, `1` = serial). Like
-    /// `analysis`, this never changes any result — the sweeps are
-    /// bit-identical at every budget (see DESIGN.md, "Threading model").
+    /// sweeps (`0` = one per hardware thread, `1` = serial). This never
+    /// changes any result — the sweeps are bit-identical at every budget
+    /// (see DESIGN.md, "Threading model").
     pub solver_threads: usize,
 }
 
@@ -577,323 +576,72 @@ impl CoSimulation {
     }
 
     /// [`CoSimulation::run`] with a per-window liveness callback, so long
-    /// runs can report progress while they execute.
-    ///
-    /// The per-substep analysis runs through [`FrameAnalyzer`] (fused MLTD +
-    /// detection + severity with reusable buffers and optional row sharding).
-    /// With `cfg.analysis.overlap` it moves to a dedicated worker thread fed
-    /// by a bounded two-frame channel, so the analysis of substep *t*
-    /// overlaps the thermal solve of substep *t + 1* — and, because retired
-    /// frame buffers flow back to the producer for reuse, the solver can run
-    /// ahead to *t + 2* while the analyzer is still consuming *t* without
-    /// allocating fresh state (`pipeline.depth2_advances` counts those deep
-    /// advances); frames are processed in send order, so every record,
-    /// census entry, and series value is bit-identical to the serial
-    /// schedule.
+    /// runs can report progress while they execute. The run is a one-lane
+    /// pass of the lockstep stepper [`run_lanes`], whose K = 1 thermal step
+    /// is the plain [`ThermalSim::step`].
     pub fn run_with_progress(self, on_window: Option<&dyn Fn(WindowProgress)>) -> RunResult {
-        let analyzer = FrameAnalyzer::new(
-            self.cfg.detect,
-            self.cfg.severity,
-            self.cfg.analysis.threads,
-        );
-        self.run_with_analyzer(analyzer, on_window).0
+        let analyzer = FrameAnalyzer::new(self.cfg.detect, self.cfg.severity);
+        let on_lane_window = |_lane: usize, p: WindowProgress| {
+            if let Some(cb) = on_window {
+                cb(p);
+            }
+        };
+        run_lanes(vec![self], vec![analyzer], None, Some(&on_lane_window))
+            .swap_remove(0)
+            .0
     }
 
-    /// [`CoSimulation::run_with_progress`] on a caller-supplied (possibly
-    /// recycled) [`FrameAnalyzer`], handing the analyzer and the
-    /// geometry-keyed model parts back for reuse by the next same-geometry
-    /// run. The analyzer is re-targeted at this run's parameters first, so a
-    /// dirty analyzer produces bit-identical results to a fresh one.
-    pub(crate) fn run_with_analyzer(
-        self,
-        mut analyzer: FrameAnalyzer,
-        on_window: Option<&dyn Fn(WindowProgress)>,
-    ) -> (RunResult, FrameAnalyzer, GeomParts) {
-        analyzer.reconfigure(
-            self.cfg.detect,
-            self.cfg.severity,
-            self.cfg.analysis.threads,
-        );
-        let window_s = self.cfg.window_seconds();
-        let dt_sub = window_s / self.cfg.substeps as f64;
-        let track_idx: Vec<usize> = self
-            .cfg
-            .track_units
-            .iter()
-            .map(|n| {
-                self.fp
-                    .unit_index_by_name(n)
-                    // hotgauge-lint: allow(L001, "track_units validated against the floorplan in try_new; a miss here is a bug, not user input")
-                    .unwrap_or_else(|| panic!("unknown tracked unit {n}"))
-            })
-            .collect();
-
-        // Split the state: the window producer mutates the models while the
-        // analysis context only reads the configuration/floorplan side.
-        let Self {
-            cfg,
-            fp,
-            grid,
-            grid_peaked,
-            power,
-            mut thermal,
-            mut core,
-            mut gen,
-            idle_act,
-        } = self;
-
-        // The prefilter records zeros for MLTD/severity on provably
-        // hotspot-free substeps, so it only engages where those fields are
-        // never consumed: stop-at-first-hotspot (TUH) runs without per-unit
-        // severity tracking. The TUH itself is exact either way — a frame
-        // whose max is at or below `T_th` cannot contain a hotspot.
-        let prefilter = cfg.analysis.prefilter && cfg.stop_at_first_hotspot && track_idx.is_empty();
-        // Overlap lets this thread run substeps past the stopping hotspot
-        // before the worker reports it. That is invisible in the result
-        // except through the Fig. 2 ΔT histogram (accumulated here per
-        // window), so that one combination stays serial.
-        let overlap =
-            cfg.analysis.overlap && !(cfg.stop_at_first_hotspot && cfg.delta_histogram.is_some());
-
-        // Frame-storage return path: the analysis side retires each frame's
-        // buffer once it moves on, and the producer extracts the next
-        // substep into it. Same-thread in the serial schedule, cross-thread
-        // under overlap; either way the recycled values are overwritten in
-        // full, so results are bit-identical to fresh allocation.
-        let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<ThermalFrame>();
-        let mut ctx = AnalysisCtx {
-            analyzer,
-            cfg: &cfg,
-            fp: &fp,
-            grid: &grid,
-            track_idx: &track_idx,
-            prefilter,
-            records: Vec::new(),
-            sev_series: TimeSeries::default(),
-            census: HotspotCensus::new(),
-            tuh: None,
-            last_frame: None,
-            last_instructions: 0,
-            recycle: Some(recycle_tx),
+    /// Stages 1–3 of the per-window loop: one perf sample, the power
+    /// evaluation and the rasterization. Only the core/workload models are
+    /// mutated; the thermal state is read for leakage feedback.
+    fn produce_window(&mut self) -> WindowOutput {
+        let cfg = &self.cfg;
+        // 1. Performance window (sampled).
+        let window = {
+            let _stage = span!("stage.perf");
+            self.core.run_instructions(&mut self.gen, cfg.sample_instrs)
         };
+        let ipc = window.ipc();
+        let instr_delta = (ipc * CoreConfig::TIME_STEP_CYCLES as f64) as u64;
 
-        let mut time_s = 0.0;
-        let mut instructions: u64 = 0;
-        // Carry the histogram spec alongside its accumulators so the window
-        // loops never have to re-fetch it from the config (which would need
-        // an unwrap of an Option already matched here).
-        let mut delta_counts = cfg
-            .delta_histogram
-            .map(|h| (h, edges(&h), vec![0usize; h.bins]));
-        let mut windows: u64 = 0;
-
-        if !overlap {
-            'outer: while instructions < cfg.max_instructions && time_s < cfg.max_time_s {
-                let w = produce_window(
-                    &cfg,
-                    &fp,
-                    &grid,
-                    &grid_peaked,
-                    &power,
-                    &thermal,
-                    &mut core,
-                    &mut gen,
-                    &idle_act,
-                );
-                instructions += w.instr_delta;
-                counter!("pipeline.substeps", cfg.substeps);
-                for _ in 0..cfg.substeps {
-                    {
-                        let _stage = span!("stage.thermal");
-                        thermal.step(&w.power_map, dt_sub);
-                    }
-                    time_s += dt_sub;
-                    let (frame, frame_max) = match recycle_rx.try_recv() {
-                        Ok(retired) => thermal.die_frame_with_max_into(retired.temps),
-                        Err(_) => thermal.die_frame_with_max(),
-                    };
-                    let proceed = {
-                        let _stage = span!("stage.detect");
-                        ctx.process(SubstepMsg {
-                            frame,
-                            frame_max,
-                            time_s,
-                            power_w: w.power_w,
-                            ipc: w.ipc,
-                            instructions,
-                        })
-                    };
-                    if !proceed {
-                        break 'outer;
-                    }
-                }
-                if let Some((ref h, _, ref mut counts)) = delta_counts {
-                    accumulate_deltas(h, counts, &w.frame_before, &thermal.die_frame());
-                }
-                windows += 1;
-                if let Some(cb) = on_window {
-                    cb(WindowProgress {
-                        windows,
-                        time_s,
-                        instructions,
-                        max_instructions: cfg.max_instructions,
-                        max_time_s: cfg.max_time_s,
-                    });
-                }
-            }
-        } else {
-            let stop = std::sync::atomic::AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                // Two in-flight frames: the worker analyzes one while this
-                // thread solves into the other (double buffering); a third
-                // send blocks, bounding memory and keeping the stages in
-                // lockstep.
-                let (tx, rx) = std::sync::mpsc::sync_channel::<SubstepMsg>(2);
-                let worker_ctx = &mut ctx;
-                let stop_flag = &stop;
-                let worker = scope.spawn(move || {
-                    let _stage = span!("analysis.worker");
-                    while let Ok(msg) = rx.recv() {
-                        let _stage = span!("stage.detect");
-                        if !worker_ctx.process(msg) {
-                            stop_flag.store(true, std::sync::atomic::Ordering::Release);
-                            break;
+        // 2. Power from activity + temperature.
+        let frame_before = self.thermal.die_frame();
+        let breakdown = {
+            let _stage = span!("stage.power");
+            let temps = unit_temperatures(&self.fp, &self.grid, &frame_before);
+            let mut cores: Vec<CoreWindow<'_>> = (0..7)
+                .map(|_| {
+                    if cfg.background_idle {
+                        CoreWindow::Active {
+                            activity: &self.idle_act,
+                            duty: IDLE_DUTY_CYCLE,
                         }
+                    } else {
+                        CoreWindow::Parked
                     }
-                });
-                // Frames owned by the analysis side (in the channel, in
-                // flight, or held as `last_frame`), i.e. sends minus
-                // reclaims. Three outstanding frames at solve time means
-                // the analyzer is still consuming substep t while this
-                // thread solves t + 2: the worker holds t (plus the retired
-                // t − 1 it has not released yet) and t + 1 waits in the
-                // channel — the deep-overlap state the buffer pool exists
-                // for.
-                let mut outstanding = 0usize;
-                let mut spares: Vec<ThermalFrame> = Vec::new();
-                'outer: while instructions < cfg.max_instructions && time_s < cfg.max_time_s {
-                    if stop.load(std::sync::atomic::Ordering::Acquire) {
-                        break;
-                    }
-                    let w = produce_window(
-                        &cfg,
-                        &fp,
-                        &grid,
-                        &grid_peaked,
-                        &power,
-                        &thermal,
-                        &mut core,
-                        &mut gen,
-                        &idle_act,
-                    );
-                    instructions += w.instr_delta;
-                    counter!("pipeline.substeps", cfg.substeps);
-                    for _ in 0..cfg.substeps {
-                        if stop.load(std::sync::atomic::Ordering::Acquire) {
-                            break 'outer;
-                        }
-                        while let Ok(retired) = recycle_rx.try_recv() {
-                            spares.push(retired);
-                            outstanding -= 1;
-                        }
-                        if outstanding >= 3 {
-                            counter!("pipeline.depth2_advances", 1);
-                        }
-                        {
-                            let _stage = span!("stage.thermal");
-                            thermal.step(&w.power_map, dt_sub);
-                        }
-                        time_s += dt_sub;
-                        let (frame, frame_max) = match spares.pop() {
-                            Some(retired) => thermal.die_frame_with_max_into(retired.temps),
-                            None => thermal.die_frame_with_max(),
-                        };
-                        let msg = SubstepMsg {
-                            frame,
-                            frame_max,
-                            time_s,
-                            power_w: w.power_w,
-                            ipc: w.ipc,
-                            instructions,
-                        };
-                        match tx.try_send(msg) {
-                            Ok(()) => outstanding += 1,
-                            Err(std::sync::mpsc::TrySendError::Full(m)) => {
-                                // The analysis is the bottleneck right now;
-                                // block until it frees a slot.
-                                counter!("analysis.overlap_stalls", 1);
-                                if tx.send(m).is_err() {
-                                    break 'outer;
-                                }
-                                outstanding += 1;
-                            }
-                            Err(std::sync::mpsc::TrySendError::Disconnected(_)) => break 'outer,
-                        }
-                    }
-                    if let Some((ref h, _, ref mut counts)) = delta_counts {
-                        accumulate_deltas(h, counts, &w.frame_before, &thermal.die_frame());
-                    }
-                    windows += 1;
-                    if let Some(cb) = on_window {
-                        cb(WindowProgress {
-                            windows,
-                            time_s,
-                            instructions,
-                            max_instructions: cfg.max_instructions,
-                            max_time_s: cfg.max_time_s,
-                        });
-                    }
-                }
-                drop(tx);
-                // hotgauge-lint: allow(L001, "re-raises a worker panic on the producer thread; swallowing it would return a silently truncated RunResult")
-                worker.join().expect("analysis worker panicked");
-            });
+                })
+                .collect();
+            cores[cfg.target_core] = CoreWindow::Active {
+                activity: &window,
+                duty: 1.0,
+            };
+            self.power.evaluate(&cores, &temps)
+        };
+        // 3. Rasterize unit watts onto the active-layer grid.
+        let power_map = {
+            let _stage = span!("stage.rasterize");
+            let mut map = self.grid.power_map(&breakdown.unit_watts_smooth);
+            self.grid_peaked
+                .accumulate_power_map(&breakdown.unit_watts_peaked, &mut map);
+            map
+        };
+        WindowOutput {
+            ipc,
+            power_w: breakdown.total_w(),
+            instr_delta,
+            power_map,
+            frame_before,
         }
-
-        let AnalysisCtx {
-            analyzer,
-            records,
-            sev_series,
-            census,
-            tuh,
-            mut last_frame,
-            last_instructions,
-            ..
-        } = ctx;
-
-        // In stop mode the producer may have solved past the stopping
-        // substep under overlap; the recorded state of that substep — not
-        // the thermal model's — is what the serial schedule reports.
-        let stopped = cfg.stop_at_first_hotspot && tuh.is_some();
-        let total_instructions = if stopped {
-            last_instructions
-        } else {
-            instructions
-        };
-        let final_frame = if stopped {
-            // hotgauge-lint: allow(L001, "tuh is only set by AnalysisCtx::process, which stores last_frame in the same match arm before returning false")
-            last_frame.take().expect("stopping substep has a frame")
-        } else {
-            thermal.die_frame()
-        };
-        let result = RunResult {
-            config: cfg,
-            records,
-            tuh_s: tuh,
-            census,
-            delta_hist: delta_counts.map(|(_, e, c)| (e, c)),
-            total_instructions,
-            final_frame,
-            sev_series,
-        };
-        let parts = GeomParts {
-            fp,
-            grid,
-            grid_peaked,
-            power,
-            thermal,
-        };
-        (result, analyzer, parts)
     }
 }
 
@@ -922,8 +670,7 @@ pub(crate) struct GeomParts {
 /// mates continue.
 ///
 /// Results are **bit-identical** to running each lane through
-/// [`CoSimulation::run`] on its own: the batch replays the serial analysis
-/// schedule per lane (which the overlap schedule also reproduces exactly),
+/// [`CoSimulation::run`] on its own: both are passes of the same stepper,
 /// and the lockstep solver applies each lane's arithmetic in the same
 /// element order as the single-RHS path. Lanes whose thermal systems turn
 /// out not to be homogeneous (different grids or solver states) fall back
@@ -971,62 +718,35 @@ impl BatchedCoSim {
         let analyzers = self
             .lanes
             .iter()
-            .map(|l| FrameAnalyzer::new(l.cfg.detect, l.cfg.severity, l.cfg.analysis.threads))
+            .map(|l| FrameAnalyzer::new(l.cfg.detect, l.cfg.severity))
             .collect();
-        run_batch_with_analyzers(self.lanes, analyzers, None)
+        run_lanes(self.lanes, analyzers, None, None)
             .into_iter()
             .map(|(result, _, _)| result)
             .collect()
     }
 }
 
-/// The batch engine behind [`BatchedCoSim`], on caller-supplied (possibly
-/// recycled) analyzers, handing each lane's analyzer and geometry parts back
-/// for arena reuse — the batched analogue of
-/// [`CoSimulation::run_with_analyzer`]. `on_lane_done` fires with the lane
-/// index as each lane finishes (sweep liveness).
-pub(crate) fn run_batch_with_analyzers(
+/// The run loop of every co-simulation: advances `sims` window by window
+/// and substep by substep in lockstep, on caller-supplied (possibly
+/// recycled) analyzers, and hands each lane's result, analyzer and geometry
+/// parts back in lane order. A solo run is one lane, whose thermal step
+/// [`step_lockstep`] routes straight to [`ThermalSim::step`].
+///
+/// `on_lane_done` fires with the lane index as each lane finishes (sweep
+/// liveness); `on_window` fires with the lane index after each window a lane
+/// completes — not for the window a stop-at-first-hotspot lane stops in.
+///
+/// # Panics
+///
+/// Panics when `sims` is empty, wider than [`MAX_LOCKSTEP_WIDTH`], mixes
+/// substep counts, or does not come with one analyzer per lane.
+pub(crate) fn run_lanes(
     sims: Vec<CoSimulation>,
     analyzers: Vec<FrameAnalyzer>,
     on_lane_done: Option<&dyn Fn(usize)>,
+    on_window: Option<&dyn Fn(usize, WindowProgress)>,
 ) -> Vec<(RunResult, FrameAnalyzer, GeomParts)> {
-    // The per-lane model parts, split by mutability: the window producer and
-    // thermal solver mutate `LaneMut`, while the analysis contexts hold
-    // shared borrows of `LaneRo` for the whole run.
-    struct LaneRo {
-        cfg: SimConfig,
-        fp: Floorplan,
-        grid: FloorplanGrid,
-        grid_peaked: FloorplanGrid,
-        power: PowerModel,
-        idle_act: ActivityCounters,
-        track_idx: Vec<usize>,
-    }
-    struct LaneMut {
-        thermal: ThermalSim,
-        core: CoreSim,
-        gen: WorkloadGen,
-    }
-    /// Per-lane loop state mirroring the locals of the serial schedule.
-    struct LaneRun {
-        time_s: f64,
-        instructions: u64,
-        delta_counts: Option<(HistSpec, Vec<f64>, Vec<usize>)>,
-        window: Option<WindowOutput>,
-        finished: bool,
-    }
-    /// The owned accumulators of one lane's `AnalysisCtx`, extracted so the
-    /// borrows of `LaneRo` end before the model parts move into the results.
-    struct CtxOut {
-        analyzer: FrameAnalyzer,
-        records: Vec<StepRecord>,
-        sev_series: TimeSeries,
-        census: HotspotCensus,
-        tuh: Option<f64>,
-        last_frame: Option<ThermalFrame>,
-        last_instructions: u64,
-    }
-
     let k = sims.len();
     assert!(k >= 1, "a batch needs at least one lane");
     assert!(
@@ -1040,124 +760,32 @@ pub(crate) fn run_batch_with_analyzers(
         "lockstep lanes must share a substep count"
     );
     let dt_sub = sims[0].cfg.window_seconds() / substeps as f64;
+    let lane_done = |i: usize| {
+        if let Some(cb) = on_lane_done {
+            cb(i);
+        }
+    };
 
-    let mut ro = Vec::with_capacity(k);
-    let mut lanes = Vec::with_capacity(k);
-    for sim in sims {
-        let CoSimulation {
-            cfg,
-            fp,
-            grid,
-            grid_peaked,
-            power,
-            thermal,
-            core,
-            gen,
-            idle_act,
-        } = sim;
-        let track_idx: Vec<usize> = cfg
-            .track_units
-            .iter()
-            .map(|n| {
-                fp.unit_index_by_name(n)
-                    // hotgauge-lint: allow(L001, "track_units validated against the floorplan in try_new; a miss here is a bug, not user input")
-                    .unwrap_or_else(|| panic!("unknown tracked unit {n}"))
-            })
-            .collect();
-        ro.push(LaneRo {
-            cfg,
-            fp,
-            grid,
-            grid_peaked,
-            power,
-            idle_act,
-            track_idx,
-        });
-        lanes.push(LaneMut { thermal, core, gen });
-    }
-
-    // Per-lane frame-storage return paths, the batched counterpart of the
-    // serial schedule's buffer pool: each lane re-extracts into the buffer
-    // its own analysis retired two substeps ago.
-    let mut recycle_rxs = Vec::with_capacity(k);
-    let mut ctxs: Vec<AnalysisCtx<'_>> = ro
-        .iter()
-        .zip(analyzers)
-        .map(|(r, mut analyzer)| {
-            analyzer.reconfigure(r.cfg.detect, r.cfg.severity, r.cfg.analysis.threads);
-            // Same engagement rule as the serial schedule (see
-            // `run_with_analyzer`): TUH runs without tracked units.
-            let prefilter =
-                r.cfg.analysis.prefilter && r.cfg.stop_at_first_hotspot && r.track_idx.is_empty();
-            let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<ThermalFrame>();
-            recycle_rxs.push(recycle_rx);
-            AnalysisCtx {
-                analyzer,
-                cfg: &r.cfg,
-                fp: &r.fp,
-                grid: &r.grid,
-                track_idx: &r.track_idx,
-                prefilter,
-                records: Vec::new(),
-                sev_series: TimeSeries::default(),
-                census: HotspotCensus::new(),
-                tuh: None,
-                last_frame: None,
-                last_instructions: 0,
-                recycle: Some(recycle_tx),
-            }
-        })
-        .collect();
-
-    let mut runs: Vec<LaneRun> = ro
-        .iter()
-        .map(|r| LaneRun {
-            time_s: 0.0,
-            instructions: 0,
-            delta_counts: r
-                .cfg
-                .delta_histogram
-                .map(|h| (h, edges(&h), vec![0usize; h.bins])),
-            window: None,
-            finished: false,
-        })
-        .collect();
-
+    let mut lanes: Vec<Lane> = sims.into_iter().zip(analyzers).map(Lane::new).collect();
     let mut scratch = LockstepScratch::new();
-    let mut active_idx: Vec<usize> = Vec::with_capacity(k);
     loop {
         // Window start: every unfinished lane with budget left produces its
-        // perf/power window; lanes whose budget ran out finish here, exactly
-        // where the serial loop condition would have stopped them.
+        // perf/power window; a lane whose budget ran out finishes here.
         let mut any = false;
-        for i in 0..k {
-            if runs[i].finished {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            if lane.finished {
                 continue;
             }
-            if !(runs[i].instructions < ro[i].cfg.max_instructions
-                && runs[i].time_s < ro[i].cfg.max_time_s)
-            {
-                runs[i].finished = true;
-                if let Some(cb) = on_lane_done {
-                    cb(i);
-                }
+            let cfg = &lane.sim.cfg;
+            if !(lane.instructions < cfg.max_instructions && lane.time_s < cfg.max_time_s) {
+                lane.finished = true;
+                lane_done(i);
                 continue;
             }
-            let lane = &mut lanes[i];
-            let w = produce_window(
-                &ro[i].cfg,
-                &ro[i].fp,
-                &ro[i].grid,
-                &ro[i].grid_peaked,
-                &ro[i].power,
-                &lane.thermal,
-                &mut lane.core,
-                &mut lane.gen,
-                &ro[i].idle_act,
-            );
-            runs[i].instructions += w.instr_delta;
+            let w = lane.sim.produce_window();
+            lane.instructions += w.instr_delta;
             counter!("pipeline.substeps", substeps);
-            runs[i].window = Some(w);
+            lane.window = Some(w);
             any = true;
         }
         if !any {
@@ -1165,138 +793,64 @@ pub(crate) fn run_batch_with_analyzers(
         }
 
         for _ in 0..substeps {
-            // The active set is re-evaluated every substep: a lane that
-            // stopped at substep s takes no thermal step at s + 1, exactly
-            // like the serial `break 'outer`.
-            active_idx.clear();
-            for (i, run) in runs.iter().enumerate() {
-                if !run.finished && run.window.is_some() {
-                    active_idx.push(i);
+            // The lanes still in this window: a lane that stopped at
+            // substep s takes no thermal step at s + 1.
+            let mut therm: Vec<&mut ThermalSim> = Vec::with_capacity(k);
+            let mut maps: Vec<&[f64]> = Vec::with_capacity(k);
+            for lane in lanes.iter_mut() {
+                if let Some(w) = &lane.window {
+                    therm.push(&mut lane.sim.thermal);
+                    maps.push(&w.power_map);
                 }
             }
-            if active_idx.is_empty() {
+            if therm.is_empty() {
                 break;
             }
-
             {
                 let _stage = span!("stage.thermal");
-                let mut therm: Vec<&mut ThermalSim> = Vec::with_capacity(active_idx.len());
-                let mut want = active_idx.iter().peekable();
-                for (j, lane) in lanes.iter_mut().enumerate() {
-                    if want.peek() == Some(&&j) {
-                        want.next();
-                        therm.push(&mut lane.thermal);
-                    }
-                }
-                let maps: Vec<&[f64]> = active_idx
-                    .iter()
-                    .filter_map(|&i| runs[i].window.as_ref().map(|w| w.power_map.as_slice()))
-                    .collect();
                 step_lockstep(&mut therm, &maps, dt_sub, &mut scratch);
             }
 
-            for &i in active_idx.iter() {
-                let Some((power_w, ipc)) = runs[i].window.as_ref().map(|w| (w.power_w, w.ipc))
-                else {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                let Some((power_w, ipc)) = lane.window.as_ref().map(|w| (w.power_w, w.ipc)) else {
                     continue;
                 };
-                runs[i].time_s += dt_sub;
-                let (frame, frame_max) = match recycle_rxs[i].try_recv() {
-                    Ok(retired) => lanes[i].thermal.die_frame_with_max_into(retired.temps),
-                    Err(_) => lanes[i].thermal.die_frame_with_max(),
-                };
-                let proceed = {
-                    let _stage = span!("stage.detect");
-                    ctxs[i].process(SubstepMsg {
-                        frame,
-                        frame_max,
-                        time_s: runs[i].time_s,
-                        power_w,
-                        ipc,
-                        instructions: runs[i].instructions,
-                    })
-                };
-                if !proceed {
+                if !lane.analyze_substep(dt_sub, power_w, ipc) {
                     // Stop-at-first-hotspot: the lane ends mid-window, so it
-                    // must not take further steps nor accumulate this
-                    // window's ΔT histogram (serial breaks before both).
-                    runs[i].finished = true;
-                    runs[i].window = None;
-                    if let Some(cb) = on_lane_done {
-                        cb(i);
-                    }
+                    // takes no further steps and its ΔT histogram skips
+                    // this window.
+                    lane.finished = true;
+                    lane.window = None;
+                    lane_done(i);
                 }
             }
         }
 
-        // Window end for lanes that completed all substeps.
-        for (run, lane) in runs.iter_mut().zip(lanes.iter()) {
-            let Some(w) = run.window.take() else { continue };
-            if let Some((ref h, _, ref mut counts)) = run.delta_counts {
-                accumulate_deltas(h, counts, &w.frame_before, &lane.thermal.die_frame());
+        // Window end for the lanes that completed all substeps.
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let Some(w) = lane.window.take() else {
+                continue;
+            };
+            if let Some((ref h, _, ref mut counts)) = lane.delta_counts {
+                accumulate_deltas(h, counts, &w.frame_before, &lane.sim.thermal.die_frame());
+            }
+            lane.windows += 1;
+            if let Some(cb) = on_window {
+                let cfg = &lane.sim.cfg;
+                cb(
+                    i,
+                    WindowProgress {
+                        windows: lane.windows,
+                        time_s: lane.time_s,
+                        instructions: lane.instructions,
+                        max_instructions: cfg.max_instructions,
+                        max_time_s: cfg.max_time_s,
+                    },
+                );
             }
         }
     }
-
-    let outs: Vec<CtxOut> = ctxs
-        .into_iter()
-        .map(|c| {
-            let AnalysisCtx {
-                analyzer,
-                records,
-                sev_series,
-                census,
-                tuh,
-                last_frame,
-                last_instructions,
-                ..
-            } = c;
-            CtxOut {
-                analyzer,
-                records,
-                sev_series,
-                census,
-                tuh,
-                last_frame,
-                last_instructions,
-            }
-        })
-        .collect();
-
-    let mut results = Vec::with_capacity(k);
-    for (((r, lane), mut out), run) in ro.into_iter().zip(lanes).zip(outs).zip(runs) {
-        let stopped = r.cfg.stop_at_first_hotspot && out.tuh.is_some();
-        let total_instructions = if stopped {
-            out.last_instructions
-        } else {
-            run.instructions
-        };
-        let final_frame = if stopped {
-            // hotgauge-lint: allow(L001, "tuh is only set by AnalysisCtx::process, which stores last_frame in the same match arm before returning false")
-            out.last_frame.take().expect("stopping substep has a frame")
-        } else {
-            lane.thermal.die_frame()
-        };
-        let result = RunResult {
-            config: r.cfg,
-            records: out.records,
-            tuh_s: out.tuh,
-            census: out.census,
-            delta_hist: run.delta_counts.map(|(_, e, c)| (e, c)),
-            total_instructions,
-            final_frame,
-            sev_series: out.sev_series,
-        };
-        let parts = GeomParts {
-            fp: r.fp,
-            grid: r.grid,
-            grid_peaked: r.grid_peaked,
-            power: r.power,
-            thermal: lane.thermal,
-        };
-        results.push((result, out.analyzer, parts));
-    }
-    results
+    lanes.into_iter().map(Lane::finish).collect()
 }
 
 /// One produced perf/power window, ready for thermal substepping.
@@ -1310,123 +864,95 @@ struct WindowOutput {
     frame_before: ThermalFrame,
 }
 
-/// Runs one perf sample + power evaluation + rasterization — stages 1–3 of
-/// the per-window loop. Only the core/workload models are mutated; the
-/// thermal state is read for leakage feedback.
-#[allow(clippy::too_many_arguments)]
-fn produce_window(
-    cfg: &SimConfig,
-    fp: &Floorplan,
-    grid: &FloorplanGrid,
-    grid_peaked: &FloorplanGrid,
-    power: &PowerModel,
-    thermal: &ThermalSim,
-    core: &mut CoreSim,
-    gen: &mut WorkloadGen,
-    idle_act: &ActivityCounters,
-) -> WindowOutput {
-    // 1. Performance window (sampled).
-    let window = {
-        let _stage = span!("stage.perf");
-        core.run_instructions(gen, cfg.sample_instrs)
-    };
-    let ipc = window.ipc();
-    let instr_delta = (ipc * CoreConfig::TIME_STEP_CYCLES as f64) as u64;
-
-    // 2. Power from activity + temperature.
-    let frame_before = thermal.die_frame();
-    let breakdown = {
-        let _stage = span!("stage.power");
-        let temps = unit_temperatures(fp, grid, &frame_before);
-        let mut cores: Vec<CoreWindow<'_>> = (0..7)
-            .map(|_| {
-                if cfg.background_idle {
-                    CoreWindow::Active {
-                        activity: idle_act,
-                        duty: IDLE_DUTY_CYCLE,
-                    }
-                } else {
-                    CoreWindow::Parked
-                }
-            })
-            .collect();
-        cores[cfg.target_core] = CoreWindow::Active {
-            activity: &window,
-            duty: 1.0,
-        };
-        power.evaluate(&cores, &temps)
-    };
-    // 3. Rasterize unit watts onto the active-layer grid.
-    let power_map = {
-        let _stage = span!("stage.rasterize");
-        let mut map = grid.power_map(&breakdown.unit_watts_smooth);
-        grid_peaked.accumulate_power_map(&breakdown.unit_watts_peaked, &mut map);
-        map
-    };
-    WindowOutput {
-        ipc,
-        power_w: breakdown.total_w(),
-        instr_delta,
-        power_map,
-        frame_before,
-    }
-}
-
-/// One analyzed substep handed from the producer to the analysis stage.
-struct SubstepMsg {
-    frame: ThermalFrame,
-    /// Frame max, tracked during extraction (drives the prefilter and the
-    /// record's `max_temp_c`).
-    frame_max: f64,
-    time_s: f64,
-    power_w: f64,
-    ipc: f64,
-    /// Producer instruction counter at this substep's window.
-    instructions: u64,
-}
-
-/// The analysis side of the pipeline: everything the per-substep metrics
-/// block reads and accumulates, so it can run inline or on the overlap
-/// worker with identical results.
-struct AnalysisCtx<'a> {
+/// One co-simulation inside [`run_lanes`]: its models, its loop state and
+/// the per-substep analysis accumulators.
+struct Lane {
+    sim: CoSimulation,
     analyzer: FrameAnalyzer,
-    cfg: &'a SimConfig,
-    fp: &'a Floorplan,
-    grid: &'a FloorplanGrid,
-    track_idx: &'a [usize],
+    /// Floorplan indices of `cfg.track_units`.
+    track_idx: Vec<usize>,
+    /// Whether the sub-threshold prefilter engages (see [`Lane::new`]).
     prefilter: bool,
+    time_s: f64,
+    instructions: u64,
+    /// Windows completed through all their substeps.
+    windows: u64,
+    /// The window being substepped; `None` between windows and once the
+    /// lane has finished.
+    window: Option<WindowOutput>,
+    finished: bool,
+    delta_counts: Option<(HistSpec, Vec<f64>, Vec<usize>)>,
     records: Vec<StepRecord>,
     sev_series: TimeSeries,
     census: HotspotCensus,
     tuh: Option<f64>,
-    /// The last analyzed frame (the stopping frame in TUH mode).
-    last_frame: Option<ThermalFrame>,
-    /// Producer instruction counter at the last analyzed substep.
-    last_instructions: u64,
-    /// Hands analyzed frames back to the producer for storage reuse. With
-    /// the depth-2 channel this gives the pipeline its second (and third)
-    /// state buffer: the producer extracts substep `t + 2` into the buffer
-    /// the analyzer retired at substep `t`, so steady-state overlap
-    /// allocates no frames at all.
-    recycle: Option<std::sync::mpsc::Sender<ThermalFrame>>,
+    /// The last analyzed frame. Its buffer is refilled in full by the next
+    /// substep's extraction, so steady-state stepping allocates no frames.
+    frame: Option<ThermalFrame>,
 }
 
-impl AnalysisCtx<'_> {
-    /// Analyzes one substep and appends its record. Returns `false` when a
+impl Lane {
+    /// Wraps a constructed co-simulation, re-targeting `analyzer` at its
+    /// parameters first, so a recycled analyzer gives bit-identical
+    /// results to a fresh one.
+    fn new((sim, mut analyzer): (CoSimulation, FrameAnalyzer)) -> Self {
+        let cfg = &sim.cfg;
+        analyzer.reconfigure(cfg.detect, cfg.severity);
+        let track_idx: Vec<usize> = cfg
+            .track_units
+            .iter()
+            .map(|n| {
+                sim.fp
+                    .unit_index_by_name(n)
+                    // hotgauge-lint: allow(L001, "track_units validated against the floorplan in try_new; a miss here is a bug, not user input")
+                    .unwrap_or_else(|| panic!("unknown tracked unit {n}"))
+            })
+            .collect();
+        // The prefilter records zeros for MLTD/severity on provably
+        // hotspot-free substeps, so it only engages where those fields are
+        // never consumed: stop-at-first-hotspot (TUH) runs without per-unit
+        // severity tracking. The TUH itself is exact either way — a frame
+        // whose max is at or below `T_th` cannot contain a hotspot.
+        let prefilter = cfg.analysis.prefilter && cfg.stop_at_first_hotspot && track_idx.is_empty();
+        let delta_counts = cfg
+            .delta_histogram
+            .map(|h| (h, edges(&h), vec![0usize; h.bins]));
+        Self {
+            sim,
+            analyzer,
+            track_idx,
+            prefilter,
+            time_s: 0.0,
+            instructions: 0,
+            windows: 0,
+            window: None,
+            finished: false,
+            delta_counts,
+            records: Vec::new(),
+            sev_series: TimeSeries::default(),
+            census: HotspotCensus::new(),
+            tuh: None,
+            frame: None,
+        }
+    }
+
+    /// Extracts and analyzes the frame of the substep the thermal model
+    /// just took, and appends its record. Returns `false` when a
     /// stop-at-first-hotspot run must end at this substep.
-    fn process(&mut self, msg: SubstepMsg) -> bool {
-        let SubstepMsg {
-            frame,
-            frame_max,
-            time_s,
-            power_w,
-            ipc,
-            instructions,
-        } = msg;
+    fn analyze_substep(&mut self, dt_sub: f64, power_w: f64, ipc: f64) -> bool {
+        self.time_s += dt_sub;
+        let time_s = self.time_s;
+        let (frame, frame_max) = match self.frame.take() {
+            Some(retired) => self.sim.thermal.die_frame_with_max_into(retired.temps),
+            None => self.sim.thermal.die_frame_with_max(),
+        };
+        let _stage = span!("stage.detect");
+        let cfg = &self.sim.cfg;
         let analysis = self
             .analyzer
             .analyze_with_max(&frame, frame_max, self.prefilter);
-        self.census.record(&analysis.hotspots, self.grid, self.fp);
+        self.census
+            .record(&analysis.hotspots, &self.sim.grid, &self.sim.fp);
         if self.tuh.is_none() && !analysis.hotspots.is_empty() {
             self.tuh = Some(time_s);
         }
@@ -1438,7 +964,7 @@ impl AnalysisCtx<'_> {
                 let candidates = frame
                     .temps
                     .iter()
-                    .filter(|&&t| t >= self.cfg.detect.t_threshold_c)
+                    .filter(|&&t| t >= cfg.detect.t_threshold_c)
                     .count();
                 counter!("detect.candidates", candidates);
             }
@@ -1450,14 +976,14 @@ impl AnalysisCtx<'_> {
             .iter()
             .map(|&u| {
                 let mltd = self.analyzer.mltd();
-                self.grid.coverage[u]
+                self.sim.grid.coverage[u]
                     .iter()
-                    .map(|&(cell, _)| self.cfg.severity.severity(frame.temps[cell], mltd[cell]))
+                    .map(|&(cell, _)| cfg.severity.severity(frame.temps[cell], mltd[cell]))
                     .fold(0.0, f64::max)
             })
             .collect();
 
-        let temp_hist = self.cfg.temp_histogram.map(|h| {
+        let temp_hist = cfg.temp_histogram.map(|h| {
             let (_, counts) = hotgauge_thermal::frame::histogram(&frame.temps, h.lo, h.hi, h.bins);
             counts
         });
@@ -1476,16 +1002,42 @@ impl AnalysisCtx<'_> {
             unit_severity,
             temp_hist,
         });
-        self.last_instructions = instructions;
-        // Retire the previously analyzed frame to the producer; the newest
-        // frame is always kept (it is the stopping frame in TUH mode).
-        if let Some(prev) = self.last_frame.replace(frame) {
-            if let Some(tx) = &self.recycle {
-                // A closed return channel only means the producer is done.
-                let _ = tx.send(prev);
-            }
-        }
-        !(self.cfg.stop_at_first_hotspot && self.tuh.is_some())
+        self.frame = Some(frame);
+        !(cfg.stop_at_first_hotspot && self.tuh.is_some())
+    }
+
+    /// The lane's result, its analyzer and its geometry parts. A stopped
+    /// lane took no step past its stopping substep, so the last analyzed
+    /// frame is the final state either way.
+    fn finish(self) -> (RunResult, FrameAnalyzer, GeomParts) {
+        let CoSimulation {
+            cfg,
+            fp,
+            grid,
+            grid_peaked,
+            power,
+            thermal,
+            ..
+        } = self.sim;
+        let final_frame = self.frame.unwrap_or_else(|| thermal.die_frame());
+        let result = RunResult {
+            config: cfg,
+            records: self.records,
+            tuh_s: self.tuh,
+            census: self.census,
+            delta_hist: self.delta_counts.map(|(_, e, c)| (e, c)),
+            total_instructions: self.instructions,
+            final_frame,
+            sev_series: self.sev_series,
+        };
+        let parts = GeomParts {
+            fp,
+            grid,
+            grid_peaked,
+            power,
+            thermal,
+        };
+        (result, self.analyzer, parts)
     }
 }
 
@@ -1776,67 +1328,6 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_run_reproduces_serial_run_exactly() {
-        let mut serial = quick_cfg();
-        serial.track_units = vec!["core0.intRF".into()];
-        serial.temp_histogram = Some(HistSpec {
-            lo: 30.0,
-            hi: 130.0,
-            bins: 20,
-        });
-        serial.delta_histogram = Some(HistSpec {
-            lo: -2.0,
-            hi: 2.0,
-            bins: 16,
-        });
-        let mut overlapped = serial.clone();
-        serial.analysis = AnalysisConfig {
-            threads: 1,
-            overlap: false,
-            prefilter: true,
-        };
-        overlapped.analysis = AnalysisConfig {
-            threads: 2,
-            overlap: true,
-            prefilter: true,
-        };
-        assert_same_result(&run_sim(serial), &run_sim(overlapped));
-    }
-
-    #[test]
-    fn overlapped_stop_mode_matches_serial_including_early_stop() {
-        // Thresholds low enough that a hotspot fires mid-run, so the overlap
-        // worker must stop the producer and the result must still match the
-        // serial schedule bit for bit (frame, instruction count, records).
-        let mut serial = quick_cfg();
-        serial.stop_at_first_hotspot = true;
-        serial.detect.t_threshold_c = 48.0;
-        serial.detect.mltd_threshold_c = 0.05;
-        let mut overlapped = serial.clone();
-        serial.analysis = AnalysisConfig {
-            threads: 1,
-            overlap: false,
-            prefilter: true,
-        };
-        overlapped.analysis = AnalysisConfig {
-            threads: 2,
-            overlap: true,
-            prefilter: true,
-        };
-        let rs = run_sim(serial);
-        let ro = run_sim(overlapped);
-        assert!(
-            rs.tuh_s.is_some(),
-            "test premise: the lowered thresholds must trip a hotspot"
-        );
-        assert!(
-            rs.records.len() < 10,
-            "test premise: the stop must happen before the horizon"
-        );
-        assert_same_result(&rs, &ro);
-    }
-
-    #[test]
     fn prefilter_preserves_tuh_and_skips_subthreshold_metrics() {
         // At the paper's 80 °C threshold this short run never gets hot, so
         // the prefiltered TUH run skips every substep's analysis; TUH,
@@ -1846,8 +1337,6 @@ mod tests {
         let mut off = on.clone();
         on.analysis.prefilter = true;
         off.analysis.prefilter = false;
-        off.analysis.overlap = false;
-        on.analysis.overlap = false;
         let r_on = run_sim(on);
         let r_off = run_sim(off);
         assert_eq!(r_on.tuh_s, r_off.tuh_s);
@@ -1942,6 +1431,56 @@ mod tests {
         let got = BatchedCoSim::new(vec![CoSimulation::new(a), CoSimulation::new(b)]).run();
         assert_same_result(&got[0], &want_a);
         assert_same_result(&got[1], &want_b);
+    }
+
+    /// The window reports of one run through `run_with_progress`.
+    fn window_reports(cfg: SimConfig) -> (RunResult, Vec<WindowProgress>) {
+        let seen = std::cell::RefCell::new(Vec::new());
+        let on_window = |p: WindowProgress| seen.borrow_mut().push(p);
+        let r = CoSimulation::new(cfg).run_with_progress(Some(&on_window));
+        (r, seen.into_inner())
+    }
+
+    #[test]
+    fn run_with_progress_reports_each_completed_window() {
+        let mut cfg = quick_cfg();
+        cfg.substeps = 2;
+        let (r, seen) = window_reports(cfg.clone());
+        assert_eq!(seen.len() * 2, r.records.len(), "one report per window");
+        for (w, p) in seen.iter().enumerate() {
+            assert_eq!(p.windows, w as u64 + 1);
+            assert_eq!(p.max_instructions, cfg.max_instructions);
+            assert_eq!(p.max_time_s, cfg.max_time_s);
+            assert_eq!(p.time_s, r.records[2 * w + 1].time_s);
+        }
+        assert!(seen
+            .windows(2)
+            .all(|p| p[0].time_s <= p[1].time_s && p[0].instructions <= p[1].instructions));
+        let last = seen.last().expect("the run completes windows");
+        assert_eq!(Some(last.time_s), r.records.last().map(|x| x.time_s));
+        assert_eq!(last.instructions, r.total_instructions);
+        assert_same_result(&r, &run_sim(cfg));
+    }
+
+    #[test]
+    fn run_with_progress_reports_nothing_for_the_stopping_window() {
+        let mut cfg = quick_cfg();
+        cfg.substeps = 2;
+        cfg.stop_at_first_hotspot = true;
+        cfg.detect.t_threshold_c = 60.0;
+        cfg.detect.mltd_threshold_c = 0.05;
+        let (r, seen) = window_reports(cfg);
+        let stop = r
+            .tuh_s
+            .expect("test premise: the lowered thresholds trip a hotspot");
+        assert_eq!(r.records.last().map(|x| x.time_s), Some(stop));
+        assert!(
+            r.records.len() < 20,
+            "test premise: the stop ends the run early"
+        );
+        // Every report is of a window completed before the stopping one.
+        assert_eq!(seen.len(), (r.records.len() - 1) / 2);
+        assert!(seen.iter().all(|p| p.time_s < stop));
     }
 
     #[test]

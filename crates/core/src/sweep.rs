@@ -14,15 +14,14 @@
 //! On top of the pool sits the **lockstep batch engine**: jobs sharing a
 //! [`geom_key`] are grouped (first-seen key order) and split into batches
 //! of up to [`DEFAULT_BATCH_WIDTH`] runs, narrowed where that balances the
-//! pool (see `partition`), and each batch advances through
-//! one [`crate::pipeline::BatchedCoSim`]-style driver whose multi-RHS
-//! thermal solves stream the shared backward-Euler matrix once per substep
-//! for the whole batch. Batches of one job — singleton geometries, or
-//! groups split down to single lanes — take the classic per-run path.
+//! pool (see `partition`), and each batch advances through the pipeline's
+//! lockstep stepper, whose multi-RHS thermal solves stream the shared
+//! backward-Euler matrix once per substep for the whole batch. Batches of
+//! one job — singleton geometries, or groups split down to single lanes —
+//! are one-lane passes of the same stepper.
 //!
 //! Results are **order-preserving and bit-identical** to running each
-//! config through [`crate::pipeline::run_sim`] serially (with the sweep's
-//! serial-forcing rule applied to `AnalysisConfig`): the scheduler only
+//! config through [`crate::pipeline::run_sim`] serially: the scheduler only
 //! decides *where and how wide* a run executes — arena recycling restores
 //! exactly the fresh-construction state and the lockstep solver applies
 //! each lane's arithmetic in single-RHS element order
@@ -32,8 +31,8 @@
 //! finished runs (always equal), `sweep.items` counts the work items the
 //! partition produced, `sweep.arena_reuse` counts geometry-cache hits, and
 //! `solver.batch_width` / `solver.lockstep_runs` record the widths of
-//! scheduled lockstep batches and the runs executed through them; the
-//! whole pool runs under a `sweep.executor` span.
+//! scheduled lockstep batches wider than one lane and the runs executed
+//! through them; the whole pool runs under a `sweep.executor` span.
 
 use std::cmp::Reverse;
 use std::ops::Range;
@@ -43,9 +42,7 @@ use hotgauge_telemetry::{counter, span};
 use hotgauge_thermal::MAX_LOCKSTEP_WIDTH;
 
 use crate::analysis::FrameAnalyzer;
-use crate::pipeline::{
-    run_batch_with_analyzers, CoSimulation, GeomParts, RunResult, SimConfig, SweepProgress,
-};
+use crate::pipeline::{run_lanes, CoSimulation, GeomParts, RunResult, SimConfig, SweepProgress};
 
 /// Geometry entries an arena keeps before evicting the oldest. Sweeps cycle
 /// over a handful of geometries (fig10: one per node), so a small FIFO
@@ -137,7 +134,8 @@ pub(crate) fn geom_key(cfg: &SimConfig) -> String {
 
 /// [`crate::pipeline::run_sim`] executing inside an arena: same-geometry
 /// model parts and the frame analyzer are recycled from (and returned to)
-/// `arena`. Bit-identical to `run_sim(cfg)` for any arena state.
+/// `arena`. Bit-identical to `run_sim(cfg)` for any arena state. A one-lane
+/// [`run_batch_in`].
 ///
 /// # Panics
 ///
@@ -145,37 +143,23 @@ pub(crate) fn geom_key(cfg: &SimConfig) -> String {
 /// [`CoSimulation::new`] (user-input paths validate through
 /// [`CoSimulation::try_new`] first).
 pub fn run_sim_in(cfg: SimConfig, arena: &mut SweepArena) -> RunResult {
-    let key = geom_key(&cfg);
-    let (detect, severity, threads) = (cfg.detect, cfg.severity, cfg.analysis.threads);
-    let geom = arena.take_geom(&key);
-    if geom.is_some() {
-        counter!("sweep.arena_reuse", 1);
-    }
-    let sim = CoSimulation::try_new_reusing(cfg, geom)
-        // hotgauge-lint: allow(L001, "programmatic entry point mirroring run_sim/CoSimulation::new; user-input paths validate through try_new and exit 2")
-        .unwrap_or_else(|e| panic!("invalid simulation config: {e}"));
-    let analyzer = arena
-        .analyzer
-        .take()
-        .unwrap_or_else(|| FrameAnalyzer::new(detect, severity, threads));
-    let (result, analyzer, parts) = sim.run_with_analyzer(analyzer, None);
-    arena.analyzer = Some(analyzer);
-    arena.store_geom(key, parts);
-    result
+    run_batch_in(vec![cfg], arena, None).swap_remove(0)
 }
 
-/// Runs a batch of same-[`geom_key`] configurations in lockstep inside an
-/// arena: lane 0 recycles the arena's cached geometry (or builds it), the
-/// remaining lanes clone lane 0's parts — sharing the prepared backward-Euler
-/// matrix — and all lanes advance through the multi-RHS solver together.
-/// Each result is bit-identical to `run_sim` of that configuration.
-/// `on_lane_done` fires with the lane index as each lane finishes.
+/// Runs a batch of configurations in lockstep inside an arena: lane 0
+/// recycles the arena's cached geometry (or builds it), the lanes of lane
+/// 0's [`geom_key`] clone its parts — sharing the prepared backward-Euler
+/// matrix — and all lanes advance through the multi-RHS solver together. A
+/// lane of another geometry builds its own parts and is stepped solo inside
+/// the batch. Each result is bit-identical to `run_sim` of that
+/// configuration. `on_lane_done` fires with the lane index as each lane
+/// finishes.
 ///
 /// # Panics
 ///
-/// Panics if `cfgs` is empty, wider than [`MAX_LOCKSTEP_WIDTH`], or invalid,
-/// like [`run_sim_in`] (user-input paths validate through
-/// [`CoSimulation::try_new`] first).
+/// Panics if `cfgs` is empty, wider than [`MAX_LOCKSTEP_WIDTH`], mixes
+/// substep counts, or is invalid, like [`run_sim_in`] (user-input paths
+/// validate through [`CoSimulation::try_new`] first).
 pub fn run_batch_in(
     cfgs: Vec<SimConfig>,
     arena: &mut SweepArena,
@@ -183,17 +167,9 @@ pub fn run_batch_in(
 ) -> Vec<RunResult> {
     assert!(!cfgs.is_empty(), "a batch needs at least one configuration");
     let key = geom_key(&cfgs[0]);
-    debug_assert!(
-        cfgs.iter().all(|c| geom_key(c) == key),
-        "batch lanes must share a geometry key"
-    );
     let mut lanes: Vec<CoSimulation> = Vec::with_capacity(cfgs.len());
     for cfg in cfgs {
         let geom = match lanes.first() {
-            // Batch mates clone lane 0's parts instead of rebuilding:
-            // same-key parts are bit-identical by construction, and the
-            // clone shares the prepared matrix the lockstep solver keys on.
-            Some(first) => Some(first.clone_geom_parts()),
             None => {
                 let g = arena.take_geom(&key);
                 if g.is_some() {
@@ -201,6 +177,11 @@ pub fn run_batch_in(
                 }
                 g
             }
+            // Batch mates clone lane 0's parts instead of rebuilding:
+            // same-key parts are bit-identical by construction, and the
+            // clone shares the prepared matrix the lockstep solver keys on.
+            Some(first) if geom_key(&cfg) == key => Some(first.clone_geom_parts()),
+            Some(_) => None,
         };
         let sim = CoSimulation::try_new_reusing(cfg, geom)
             // hotgauge-lint: allow(L001, "programmatic entry point mirroring run_sim/CoSimulation::new; user-input paths validate through try_new and exit 2")
@@ -214,21 +195,22 @@ pub fn run_batch_in(
             let recycled = if l == 0 { arena.analyzer.take() } else { None };
             recycled.unwrap_or_else(|| {
                 let c = sim.config();
-                FrameAnalyzer::new(c.detect, c.severity, c.analysis.threads)
+                FrameAnalyzer::new(c.detect, c.severity)
             })
         })
         .collect();
-    counter!("solver.batch_width", lanes.len());
-    counter!("solver.lockstep_runs", lanes.len());
-    let outs = run_batch_with_analyzers(lanes, analyzers, on_lane_done);
+    if lanes.len() > 1 {
+        counter!("solver.batch_width", lanes.len());
+        counter!("solver.lockstep_runs", lanes.len());
+    }
+    let mut outs = run_lanes(lanes, analyzers, on_lane_done, None).into_iter();
     let mut results = Vec::with_capacity(outs.len());
-    for (l, (result, analyzer, parts)) in outs.into_iter().enumerate() {
-        if l == 0 {
-            arena.analyzer = Some(analyzer);
-            arena.store_geom(key.clone(), parts);
-        }
+    if let Some((result, analyzer, parts)) = outs.next() {
+        arena.analyzer = Some(analyzer);
+        arena.store_geom(key, parts);
         results.push(result);
     }
+    results.extend(outs.map(|(result, _, _)| result));
     results
 }
 
@@ -239,24 +221,12 @@ pub fn run_batch_in(
 /// The width is capped at the machine's hardware threads: the runs are
 /// CPU-bound, so oversubscribed workers cannot finish sooner — they only
 /// multiply per-worker [`SweepArena`] scratch (cached geometries, solver
-/// workspaces) into peak RSS. Note the sweep's serial-forcing rule still
-/// keys on the *requested* budget, so reported `AnalysisConfig`s do not
-/// change with the machine.
+/// workspaces) into peak RSS.
 pub fn pool_workers(threads: usize, jobs: usize) -> usize {
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     resolved_threads(threads).min(hw).min(jobs)
-}
-
-/// Whether a sweep at `threads` applies the serial-forcing rule to each
-/// run's `AnalysisConfig` (see [`run_many_batched_with`]): true when the
-/// requested budget resolves to more than one worker. Exposed so result
-/// caches can key on the *effective* per-run config — the one a fresh
-/// sweep would record into its [`RunResult`]s — without re-implementing
-/// the `--threads 0` hardware resolution.
-pub fn sweep_serial_forced(threads: usize) -> bool {
-    resolved_threads(threads) > 1
 }
 
 /// `--threads` semantics: `0` means one worker per hardware thread.
@@ -289,7 +259,7 @@ pub fn run_many_with(
 /// [`run_many_with`] with an explicit lockstep batch width: same-[`geom_key`]
 /// jobs are grouped (first-seen key order) and solved up to `batch` at a
 /// time through [`run_batch_in`]; `batch <= 1` disables batching and runs
-/// every job through the classic per-run path. The width is clamped to
+/// every job as a one-lane batch. The width is clamped to
 /// [`MAX_LOCKSTEP_WIDTH`], and groups are split narrower where that
 /// balances the lanes across the pool (see `partition`). Neither ever
 /// changes any result — only how many runs share each thermal solve.
@@ -305,18 +275,10 @@ pub fn run_many_batched_with(
     }
     let _executor = span!("sweep.executor");
     counter!("sweep.jobs", n);
-    // Serial-forcing rule: sweep workers already saturate the machine, so
-    // per-run analysis threads and the overlap worker would only
-    // oversubscribe it. Keyed on the requested thread budget — not the
-    // realized pool width — so a single-job sweep at `--threads 8` reports
-    // the same (serial-forced) `AnalysisConfig` in its `RunResult` as it
-    // always has. Results are identical either way.
-    let force_serial = sweep_serial_forced(threads);
     let batch = batch.clamp(1, MAX_LOCKSTEP_WIDTH);
 
     // The pool's work items: input-ordered index batches of same-geometry
-    // jobs, widest first (batches of one take the per-run path). With
-    // `batch == 1` every job is its own item.
+    // jobs, widest first. With `batch == 1` every job is its own item.
     let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
     for (i, c) in cfgs.iter().enumerate() {
         let key = geom_key(c);
@@ -336,13 +298,6 @@ pub fn run_many_batched_with(
     // a work item would only ever contribute idle arena scratch to peak RSS.
     let workers = pool.min(items.len()).max(1);
 
-    let cfg_of = |i: usize| {
-        let mut cfg = cfgs[i].clone();
-        if force_serial {
-            cfg.analysis = cfg.analysis.serial();
-        }
-        cfg
-    };
     let completed = AtomicUsize::new(0);
     // Executes one work item in an arena; returns `(input index, result)`
     // pairs. Completion accounting fires per *run* (not per item), as each
@@ -363,15 +318,9 @@ pub fn run_many_batched_with(
             }
         };
         let _run = span!("sweep.run");
-        if let [i] = *item {
-            let r = run_sim_in(cfg_of(i), arena);
-            lane_done(0);
-            vec![(i, r)]
-        } else {
-            let lanes = item.iter().map(|&i| cfg_of(i)).collect();
-            let rs = run_batch_in(lanes, arena, Some(&lane_done));
-            item.iter().copied().zip(rs).collect()
-        }
+        let lanes = item.iter().map(|&i| cfgs[i].clone()).collect();
+        let rs = run_batch_in(lanes, arena, Some(&lane_done));
+        item.iter().copied().zip(rs).collect()
     };
 
     let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
@@ -498,28 +447,18 @@ mod tests {
     }
 
     #[test]
-    fn more_threads_than_jobs_preserves_order_and_serial_forcing() {
-        let rs = run_many_with(vec![quick_cfg("hmmer"), quick_cfg("povray")], 8, None);
+    fn more_threads_than_jobs_preserves_order_and_configs() {
+        let cfgs = vec![quick_cfg("hmmer"), quick_cfg("povray")];
+        let rs = run_many_with(cfgs.clone(), 8, None);
         assert_eq!(rs.len(), 2);
         assert_eq!(rs[0].config.benchmark, "hmmer");
         assert_eq!(rs[1].config.benchmark, "povray");
-        for r in &rs {
-            // The serial-forcing rule keys on the requested budget (8 > 1)
-            // even though only two workers exist.
-            assert_eq!(r.config.analysis.threads, 1);
-            assert!(!r.config.analysis.overlap);
+        for (r, c) in rs.iter().zip(&cfgs) {
+            assert_eq!(
+                r.config.analysis, c.analysis,
+                "the sweep records the submitted config"
+            );
         }
-    }
-
-    #[test]
-    fn single_job_single_thread_keeps_analysis_config() {
-        let cfg = quick_cfg("hmmer");
-        let want = cfg.analysis;
-        let rs = run_many_with(vec![cfg], 1, None);
-        assert_eq!(
-            rs[0].config.analysis, want,
-            "threads=1 must not serial-force"
-        );
     }
 
     #[test]
@@ -654,6 +593,33 @@ mod tests {
         for (g, w) in again.iter().zip(&want) {
             assert_eq!(g.records, w.records);
             assert_eq!(g.final_frame, w.final_frame);
+        }
+    }
+
+    #[test]
+    fn mixed_geometry_batch_runs_every_lane_on_its_own_geometry() {
+        // Batch 1: another cell size and another node beside lane 0.
+        // Batch 2: a 302 µm grid with exactly as many thermal nodes as
+        // lane 0's 300 µm grid, but a different matrix.
+        let mut coarse = quick_cfg("povray");
+        coarse.cell_um = 360.0;
+        let mut n14 = quick_cfg("gcc");
+        n14.node = TechNode::N14;
+        let mut near = quick_cfg("gcc");
+        near.cell_um = 302.0;
+        let batches = [
+            vec![quick_cfg("hmmer"), coarse, n14],
+            vec![quick_cfg("hmmer"), near],
+        ];
+        for cfgs in batches {
+            let got = run_batch_in(cfgs.clone(), &mut SweepArena::new(), None);
+            for (g, c) in got.iter().zip(cfgs) {
+                let want = crate::pipeline::run_sim(c);
+                assert_eq!(g.final_frame, want.final_frame);
+                assert_eq!(g.records, want.records);
+                assert_eq!(g.census, want.census);
+                assert_eq!(g.total_instructions, want.total_instructions);
+            }
         }
     }
 

@@ -151,7 +151,7 @@ pub fn run_throttled(cfg: &SimConfig, policy: Option<ThrottlePolicy>) -> Throttl
     let window_s = cfg.window_seconds();
     // Fused analyzer for the per-window peak severity (same pruned exact
     // sweep as the main pipeline; bit-identical to the full-grid fold).
-    let mut analyzer = FrameAnalyzer::new(cfg.detect, cfg.severity, cfg.analysis.threads);
+    let mut analyzer = FrameAnalyzer::new(cfg.detect, cfg.severity);
     let mut sev_series = TimeSeries::default();
     let mut time_s = 0.0;
     let mut instructions = 0u64;

@@ -2,8 +2,7 @@
 //!
 //! A [`ContentKey`] addresses one simulation run: it is the 128-bit FNV-1a
 //! hash of the *canonical string* of a JSON value tree built from the key
-//! domain tag, the effective [`SimConfig`], and the resolved workload
-//! profile. Canonicalization makes the key a pure function of the value —
+//! domain tag, the [`SimConfig`], and the resolved workload profile. Canonicalization makes the key a pure function of the value —
 //! not of field order, serialization style, or process:
 //!
 //! * object keys are sorted lexicographically (the vendored `serde` `Value`
@@ -19,8 +18,9 @@
 //!
 //! The [`KEY_DOMAIN`] tag is hashed into every key. Bump it whenever the
 //! key derivation itself changes meaning (new fields sourced from outside
-//! the config, a different profile fingerprint); every old key then misses
-//! and the store re-simulates rather than serving stale rows.
+//! the config, a different profile fingerprint, a change to the serialized
+//! `SimConfig`); every old key then misses and the store re-simulates
+//! rather than serving stale rows.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize, Value};
 
 /// Domain/version tag mixed into every key. Bumping it invalidates every
 /// previously stored key (forcing re-simulation, never wrong results).
-pub const KEY_DOMAIN: &str = "hotgauge.store.key.v1";
+pub const KEY_DOMAIN: &str = "hotgauge.store.key.v2";
 
 /// Hex width of a key: 128 FNV-1a bits.
 pub const KEY_HEX_LEN: usize = 32;
@@ -82,10 +82,9 @@ impl Deserialize for ContentKey {
 }
 
 /// The content key of a run: hashes the key domain, the config (which
-/// carries the seed), and the resolved workload profile. Callers that sweep
-/// through the pooled executor must pass the *effective* config — after the
-/// serial-forcing rule — so the key addresses exactly what a fresh sweep
-/// would produce (see [`crate::sweep::run_many_stored_with`]).
+/// carries the seed), and the resolved workload profile. The sweep executor
+/// records each submitted config unchanged in its result, so the key of the
+/// submitted config addresses exactly what a fresh sweep produces.
 pub fn run_key(cfg: &SimConfig) -> ContentKey {
     let payload = Value::Map(vec![
         ("domain".to_owned(), Value::Str(KEY_DOMAIN.to_owned())),

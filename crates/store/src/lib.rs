@@ -4,10 +4,9 @@
 //! runs that get re-executed every time a config evolves. This crate turns
 //! the batch executor into an incremental system: every completed
 //! [`hotgauge_core::pipeline::RunResult`] is persisted into a snapshot
-//! store addressed by a stable content key of its *effective* simulation
-//! input — the [`SimConfig`](hotgauge_core::pipeline::SimConfig) after the
-//! sweep executor's serial-forcing rule, plus the resolved workload profile
-//! (the seed rides inside the config). Re-running a sweep then serves
+//! store addressed by a stable content key of its simulation input — the
+//! [`SimConfig`](hotgauge_core::pipeline::SimConfig) plus the resolved
+//! workload profile (the seed rides inside the config). Re-running a sweep then serves
 //! unchanged runs from disk bit-identically and simulates only the rest.
 //!
 //! The layers, bottom up:

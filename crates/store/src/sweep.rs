@@ -2,15 +2,11 @@
 //!
 //! [`run_many_stored_with`] partitions a sweep into store hits and misses:
 //! hits stream straight from disk (after full snapshot verification),
-//! misses run through [`hotgauge_core::run_many_batched_with`] with their
-//! *original* configs — the executor applies its own serial-forcing rule —
-//! so a fresh result is bit-identical to what a storeless sweep would have
-//! produced, and so is a stored one (it was persisted from exactly such a
-//! run). Keys, however, are computed over the *effective* config (after
-//! serial forcing, via [`hotgauge_core::sweep_serial_forced`]): the key
-//! must address what the executor actually runs, or a `--threads 1` sweep
-//! and a `--threads 8` sweep would collide on runs whose recorded
-//! `AnalysisConfig`s differ.
+//! misses run through [`hotgauge_core::run_many_batched_with`], so a fresh
+//! result is bit-identical to what a storeless sweep would have produced,
+//! and so is a stored one (it was persisted from exactly such a run). The
+//! executor records every config as submitted at any thread count, so each
+//! run is keyed by [`run_key`] of its config.
 //!
 //! Delta mode ([`DeltaBasis`]) restricts which keys may be served: only
 //! keys present in the previous sweep's index are eligible; everything
@@ -19,7 +15,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hotgauge_core::pipeline::{RunResult, SimConfig, SweepProgress};
-use hotgauge_core::{run_many_batched_with, sweep_serial_forced};
+use hotgauge_core::run_many_batched_with;
 
 use crate::key::{run_key, ContentKey};
 use crate::store::{DeltaBasis, ResultStore, StoreStats};
@@ -50,7 +46,7 @@ impl RunSource {
 pub struct SweepOutcome {
     /// Run results, in input order.
     pub results: Vec<RunResult>,
-    /// Content key of each run (effective-config keyed), in input order.
+    /// Content key of each run, in input order.
     pub keys: Vec<ContentKey>,
     /// Provenance of each result, in input order.
     pub sources: Vec<RunSource>,
@@ -58,17 +54,11 @@ pub struct SweepOutcome {
     pub stats: StoreStats,
 }
 
-/// The content key of `cfg` as submitted to a sweep at `threads`: applies
-/// the executor's serial-forcing rule before keying, so the key addresses
-/// the effective config a fresh sweep would record.
-pub fn sweep_key(cfg: &SimConfig, threads: usize) -> ContentKey {
-    if sweep_serial_forced(threads) {
-        let mut eff = cfg.clone();
-        eff.analysis = eff.analysis.serial();
-        run_key(&eff)
-    } else {
-        run_key(cfg)
-    }
+/// The content key of `cfg` as submitted to a sweep at `threads`: the
+/// executor records every config unchanged at any thread count, so this is
+/// [`run_key`]`(cfg)`.
+pub fn sweep_key(cfg: &SimConfig, _threads: usize) -> ContentKey {
+    run_key(cfg)
 }
 
 /// A storeless sweep that still computes per-run content keys (the
@@ -80,7 +70,7 @@ pub fn run_many_keyed_with(
     batch: usize,
     on_done: Option<&(dyn Fn(SweepProgress) + Sync)>,
 ) -> SweepOutcome {
-    let keys: Vec<ContentKey> = cfgs.iter().map(|c| sweep_key(c, threads)).collect();
+    let keys: Vec<ContentKey> = cfgs.iter().map(run_key).collect();
     let sources = vec![RunSource::Simulated; cfgs.len()];
     let results = run_many_batched_with(cfgs, threads, batch, on_done);
     SweepOutcome {
@@ -111,7 +101,7 @@ pub fn run_many_stored_with(
 ) -> Result<SweepOutcome, StoreError> {
     let n = cfgs.len();
     let before = store.stats();
-    let keys: Vec<ContentKey> = cfgs.iter().map(|c| sweep_key(c, threads)).collect();
+    let keys: Vec<ContentKey> = cfgs.iter().map(run_key).collect();
 
     let mut results: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
     let mut sources = vec![RunSource::Simulated; n];
@@ -140,9 +130,6 @@ pub fn run_many_stored_with(
 
     let miss_idx: Vec<usize> = (0..n).filter(|&i| results[i].is_none()).collect();
     if !miss_idx.is_empty() {
-        // The executor sees the ORIGINAL configs and applies its own serial
-        // forcing, so the recorded `RunResult.config` matches a storeless
-        // sweep bit for bit.
         let miss_cfgs: Vec<SimConfig> = miss_idx.iter().map(|&i| cfgs[i].clone()).collect();
         let done_so_far = AtomicUsize::new(hits);
         let wrapped = |p: SweepProgress| {
@@ -196,30 +183,5 @@ mod tests {
     fn run_source_labels() {
         assert_eq!(RunSource::Simulated.label(), "sim");
         assert_eq!(RunSource::Store.label(), "store");
-    }
-
-    #[test]
-    fn sweep_key_applies_serial_forcing_only_for_pools() {
-        use hotgauge_core::AnalysisConfig;
-        use hotgauge_floorplan::tech::TechNode;
-        let mut cfg = SimConfig::new(TechNode::N7, "hmmer");
-        cfg.analysis = AnalysisConfig {
-            threads: 4,
-            ..cfg.analysis
-        };
-        let serial = sweep_key(&cfg, 1);
-        let pooled = sweep_key(&cfg, 2);
-        assert_ne!(
-            serial, pooled,
-            "a pooled sweep serial-forces the analysis config, changing the key"
-        );
-        let mut forced = cfg.clone();
-        forced.analysis = forced.analysis.serial();
-        assert_eq!(pooled, run_key(&forced));
-        assert_eq!(
-            sweep_key(&forced, 1),
-            pooled,
-            "already-serial config keys identically"
-        );
     }
 }

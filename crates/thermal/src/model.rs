@@ -665,13 +665,13 @@ impl LockstepScratch {
 /// extrapolation, and the per-lane solve columns (see [`solve_cg_multi`] and
 /// [`CholeskyFactor::solve_multi`]) — so each lane's state and stats are
 /// bitwise identical to stepping that lane alone. Lanes whose prepared
-/// systems turn out heterogeneous (different grid, solver arm, or CG
+/// systems turn out heterogeneous (a different stack, solver arm, or CG
 /// config) fall back to per-lane solo steps, which is trivially exact.
 ///
-/// The solve is shared through lane 0's cached system; lanes must have been
-/// built from the same model and solver configuration, which makes every
-/// lane's assembled matrix (and factor) bitwise identical by deterministic
-/// construction.
+/// The solve is shared through lane 0's cached system. Lanes built from an
+/// equal stack under the same solver configuration have bitwise identical
+/// matrices (and factors) by deterministic construction; equal node counts
+/// alone do not suffice, since two cell sizes can round to the same grid.
 ///
 /// Returns per-lane stats borrowed from `scratch`.
 ///
@@ -701,12 +701,14 @@ pub fn step_lockstep<'a>(
     for sim in sims.iter_mut() {
         sim.prepare(dt);
     }
-    let n = sims[0].model.node_count();
+    let model0 = Arc::clone(&sims[0].model);
     let solver0 = sims[0].active_solver();
     let cg0 = sims[0].cg;
-    let homogeneous = sims
-        .iter()
-        .all(|s| s.model.node_count() == n && s.active_solver() == solver0 && s.cg == cg0);
+    let homogeneous = sims.iter().all(|s| {
+        (Arc::ptr_eq(&s.model, &model0) || s.model.stack == model0.stack)
+            && s.active_solver() == solver0
+            && s.cg == cg0
+    });
     if !homogeneous {
         for (sim, power) in sims.iter_mut().zip(die_powers) {
             let stats = sim.step(power, dt);
@@ -716,6 +718,7 @@ pub fn step_lockstep<'a>(
     }
 
     let direct = solver0 == Some(SolverStrategy::DirectCholesky);
+    let n = model0.node_count();
     let nk = n * k;
     scratch.rhs.resize(nk, 0.0);
     scratch.x.resize(nk, 0.0);
@@ -1197,6 +1200,32 @@ mod tests {
         for (x, y) in b.state().iter().zip(solo_b.state()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    #[test]
+    fn lockstep_steps_lanes_of_different_stacks_solo_even_at_equal_node_counts() {
+        // Same grid, different cell size: equal node counts, different
+        // matrices. Sharing lane 0's system would step lane 1 wrongly.
+        let wide = StackDescription {
+            cell: 120e-6,
+            ..stack_1d(6, 6)
+        };
+        let mut a = ThermalSim::new(ThermalModel::new(stack_1d(6, 6)), 40.0);
+        let mut b = ThermalSim::new(ThermalModel::new(wide), 40.0);
+        assert_eq!(a.model().node_count(), b.model().node_count());
+        let powers = lane_powers(2, 36);
+        let mut solo_a = a.clone();
+        let mut solo_b = b.clone();
+        let mut scratch = LockstepScratch::new();
+        for _ in 0..3 {
+            let mut lanes: Vec<&mut ThermalSim> = vec![&mut a, &mut b];
+            let maps: Vec<&[f64]> = powers.iter().map(|p| p.as_slice()).collect();
+            step_lockstep(&mut lanes, &maps, 1e-3, &mut scratch);
+            solo_a.step(&powers[0], 1e-3);
+            solo_b.step(&powers[1], 1e-3);
+        }
+        assert_eq!(a.state(), solo_a.state());
+        assert_eq!(b.state(), solo_b.state());
     }
 
     #[test]

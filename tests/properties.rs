@@ -3,10 +3,9 @@
 
 use proptest::prelude::*;
 
-use hotgauge_core::analysis::{AnalysisConfig, FrameAnalyzer};
+use hotgauge_core::analysis::FrameAnalyzer;
 use hotgauge_core::detect::{detect_hotspots, detect_hotspots_naive, HotspotParams};
 use hotgauge_core::mltd::{mltd_field, mltd_field_naive};
-use hotgauge_core::pipeline::{run_sim, SimConfig};
 use hotgauge_core::series::{percentile, rms, BoxStats};
 use hotgauge_core::severity::{peak_severity, SeverityParams};
 use hotgauge_floorplan::grid::FloorplanGrid;
@@ -17,7 +16,6 @@ use hotgauge_thermal::frame::ThermalFrame;
 use hotgauge_thermal::model::ThermalModel;
 use hotgauge_thermal::solver::CgConfig;
 use hotgauge_thermal::stack::StackDescription;
-use hotgauge_thermal::warmup::Warmup;
 
 fn arb_node() -> impl Strategy<Value = TechNode> {
     prop_oneof![
@@ -216,7 +214,7 @@ proptest! {
         let radius = r_cells as f64 * 100e-6;
         let params = HotspotParams { radius_m: radius, ..HotspotParams::paper_default() };
         let sev = SeverityParams::cpu_default();
-        let mut az = FrameAnalyzer::new(params, sev, 1);
+        let mut az = FrameAnalyzer::new(params, sev);
         let a = az.analyze(&frame);
 
         // MLTD field: bitwise against both the deque reference and the
@@ -256,25 +254,6 @@ proptest! {
     }
 
     #[test]
-    fn sharded_analysis_is_bit_identical_to_serial(
-        seed in 0u64..10_000,
-        threads in 2usize..5,
-        base in 60.0f64..85.0,
-    ) {
-        // 110×96 = 10 560 cells clears the sharding floor, so an explicit
-        // thread request genuinely splits the rows even on small machines.
-        let frame = random_frame(110, 96, seed, base, 40.0);
-        let params = HotspotParams::paper_default();
-        let sev = SeverityParams::cpu_default();
-        let mut serial = FrameAnalyzer::new(params, sev, 1);
-        let mut sharded = FrameAnalyzer::new(params, sev, threads);
-        let a = serial.analyze(&frame);
-        let b = sharded.analyze(&frame);
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(serial.mltd(), sharded.mltd());
-    }
-
-    #[test]
     fn prefilter_is_exact_for_hotspot_detection(
         nx in 8usize..30,
         ny in 8usize..30,
@@ -289,7 +268,7 @@ proptest! {
             ..HotspotParams::paper_default()
         };
         let sev = SeverityParams::cpu_default();
-        let mut az = FrameAnalyzer::new(params, sev, 1);
+        let mut az = FrameAnalyzer::new(params, sev);
         let a = az.analyze_with_max(&frame, frame_max, true);
         if a.prefiltered {
             // Skipping is only legal when Definition 1 guarantees emptiness.
@@ -298,39 +277,8 @@ proptest! {
             prop_assert!(detect_hotspots(&frame, &params, &sev).is_empty());
         } else {
             prop_assert!(frame_max > params.t_threshold_c);
-            let mut full = FrameAnalyzer::new(params, sev, 1);
+            let mut full = FrameAnalyzer::new(params, sev);
             prop_assert_eq!(a, full.analyze(&frame));
         }
-    }
-}
-
-proptest! {
-    // Run-level parity is expensive (two full co-simulations per case).
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    #[test]
-    fn overlapped_cosim_reproduces_serial_run_exactly(
-        seed in 0u64..64,
-        bench in prop::sample::select(vec!["hmmer", "povray", "gcc"]),
-    ) {
-        let mut serial = SimConfig::new(TechNode::N7, bench);
-        serial.cell_um = 400.0;
-        serial.border_mm = 1.0;
-        serial.substeps = 1;
-        serial.sample_instrs = 4_000;
-        serial.max_time_s = 1e-3;
-        serial.seed = seed;
-        serial.warmup = Warmup::Cold;
-        serial.analysis = AnalysisConfig { threads: 1, overlap: false, prefilter: true };
-        let mut overlapped = serial.clone();
-        overlapped.analysis = AnalysisConfig { threads: 2, overlap: true, prefilter: true };
-        let a = run_sim(serial);
-        let b = run_sim(overlapped);
-        prop_assert_eq!(&a.records, &b.records);
-        prop_assert_eq!(a.tuh_s, b.tuh_s);
-        prop_assert_eq!(&a.census, &b.census);
-        prop_assert_eq!(&a.sev_series, &b.sev_series);
-        prop_assert_eq!(&a.final_frame, &b.final_frame);
-        prop_assert_eq!(a.total_instructions, b.total_instructions);
     }
 }

@@ -101,7 +101,6 @@ fn prefilter_skip_pattern_is_pinned_on_a_straddling_trace() {
     // Reference pass: prefilter off, full metrics on every substep.
     let mut off = straddling_cfg();
     off.analysis.prefilter = false;
-    off.analysis.overlap = false;
     let r_off = run_sim(off);
     assert!(
         r_off.tuh_s.is_none(),
@@ -119,7 +118,6 @@ fn prefilter_skip_pattern_is_pinned_on_a_straddling_trace() {
     let mut off = straddling_cfg();
     off.detect.t_threshold_c = t_th;
     off.analysis.prefilter = false;
-    off.analysis.overlap = false;
     let mut on = off.clone();
     on.analysis.prefilter = true;
     let r_off = run_sim(off);
@@ -170,7 +168,6 @@ fn prefilter_skip_counter_matches_the_subthreshold_substep_count() {
     let _g = lock();
     let mut probe = straddling_cfg();
     probe.analysis.prefilter = false;
-    probe.analysis.overlap = false;
     let r_probe = run_sim(probe);
     let maxes: Vec<f64> = r_probe.records.iter().map(|s| s.max_temp_c).collect();
     let lo = maxes.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -185,7 +182,6 @@ fn prefilter_skip_counter_matches_the_subthreshold_substep_count() {
     let mut off = straddling_cfg();
     off.detect.t_threshold_c = t_th;
     off.analysis.prefilter = false;
-    off.analysis.overlap = false;
     let mut on = off.clone();
     on.analysis.prefilter = true;
 

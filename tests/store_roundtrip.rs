@@ -189,7 +189,10 @@ fn single_field_mutations_all_change_the_key() {
             "detect.mltd_threshold_c",
             with(&base, |c| c.detect.mltd_threshold_c = 9.0),
         ),
-        ("analysis.threads", with(&base, |c| c.analysis.threads = 5)),
+        (
+            "analysis.prefilter",
+            with(&base, |c| c.analysis.prefilter = false),
+        ),
         ("solver_threads", with(&base, |c| c.solver_threads = 3)),
         (
             "track_units",
@@ -245,7 +248,7 @@ fn golden_value_key_is_pinned() {
 fn golden_run_key_is_pinned() {
     assert_eq!(
         run_key(&pinned_cfg()).as_hex(),
-        "521f003a2db7132dadad30db7ea2636a"
+        "beb57cf7053d6e4a3b465701abfc0548"
     );
 }
 
@@ -256,7 +259,7 @@ fn golden_run_key_is_pinned() {
 fn default_analysis_config_is_host_independent() {
     assert_eq!(
         serde_json::to_string(&AnalysisConfig::default()).unwrap(),
-        r#"{"threads":0,"overlap":false,"prefilter":true}"#
+        r#"{"prefilter":true}"#
     );
 }
 

@@ -4,12 +4,10 @@
 //! configurations through the pooled executor — at any pool width, any
 //! lockstep batch width, with any arena state — produces **bit-identical,
 //! order-preserving** results to running each configuration through the
-//! serial `run_sim` path, with the sweep's serial-forcing rule applied to
-//! `AnalysisConfig` whenever more than one thread is requested. Proptest
-//! generates heterogeneous batches (mixed benchmarks, nodes, grid
-//! geometries, seeds, analysis strategies) so the arenas see both cache
+//! serial `run_sim` path. Proptest generates heterogeneous batches (mixed
+//! benchmarks, nodes, grid geometries, seeds) so the arenas see both cache
 //! hits and geometry churn, and the lockstep grouper sees full batches,
-//! stragglers, and singleton geometries that fall back to the per-run path.
+//! stragglers, and singleton geometries that run as one-lane batches.
 //!
 //! All tests share one process-wide gate: the telemetry recorder is global,
 //! so the counter-invariant checks must not interleave with other sweeps in
@@ -22,7 +20,6 @@ use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 
-use hotgauge_core::analysis::AnalysisConfig;
 use hotgauge_core::experiments::Fidelity;
 use hotgauge_core::pipeline::{run_many, run_sim, RunResult, SimConfig};
 use hotgauge_core::{run_many_batched_with, run_sim_in, SweepArena};
@@ -69,7 +66,7 @@ fn base_cfg(benchmark: &str) -> SimConfig {
 
 /// Heterogeneous sweep entries: SPEC proxies and server traces over several
 /// geometries (so arenas hit, miss, and evict), varying seeds, target cores,
-/// substep counts, and analysis strategies (so serial-forcing matters).
+/// and substep counts.
 /// Every dimension is sliced deterministically out of one entropy word.
 fn cfg_from_entropy(bits: u64) -> SimConfig {
     let benches = ["hmmer", "povray", "gcc", "server_web", "server_kv"];
@@ -83,11 +80,6 @@ fn cfg_from_entropy(bits: u64) -> SimConfig {
     c.seed = (bits >> 8) % 8;
     c.target_core = ((bits >> 11) % 3) as usize;
     c.substeps = 1 + ((bits >> 13) % 2) as usize;
-    c.analysis = AnalysisConfig {
-        threads: 2,
-        overlap: (bits >> 15) & 1 == 1,
-        prefilter: true,
-    };
     // Triangular-sweep shard budget: results are bit-identical at every
     // setting, so the differential references below stay valid whichever
     // value a case draws (0 = auto).
@@ -100,7 +92,7 @@ proptest! {
     // widths); keep the case count low.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    // The headline differential: old-path serial reference vs the pool at
+    // The headline differential: the solo `run_sim` reference vs the pool at
     // widths 1, 2, and 8, on proptest-generated heterogeneous batches.
     #[test]
     fn pool_matches_serial_reference_at_all_widths(
@@ -108,23 +100,12 @@ proptest! {
     ) {
         let _g = lock();
         let cfgs: Vec<SimConfig> = entropy.into_iter().map(cfg_from_entropy).collect();
-        // Width 1 never serial-forces, wider pools always do (the rule keys
-        // on the requested budget); both references come from the serial
-        // `run_sim` path the executor replaced.
+        // The reference comes from the serial `run_sim` path.
         let ref_plain: Vec<RunResult> = cfgs.iter().cloned().map(run_sim).collect();
-        let ref_serial: Vec<RunResult> = cfgs
-            .iter()
-            .map(|c| {
-                let mut c = c.clone();
-                c.analysis = c.analysis.serial();
-                run_sim(c)
-            })
-            .collect();
         for width in [1usize, 2, 8] {
             let got = run_many(cfgs.clone(), width);
-            let want = if width == 1 { &ref_plain } else { &ref_serial };
             prop_assert_eq!(got.len(), cfgs.len());
-            for (g, w) in got.iter().zip(want) {
+            for (g, w) in got.iter().zip(&ref_plain) {
                 assert_same_run(g, w);
             }
         }
@@ -132,9 +113,8 @@ proptest! {
 
     // The lockstep differential: explicit batch widths (full batches,
     // stragglers, singleton-geometry fallbacks — whatever the generated
-    // geometry mix produces) against the same serial `run_sim` reference.
-    // `threads = 1` exercises batching *without* the serial-forcing rule,
-    // the path the existing width sweep above never takes.
+    // geometry mix produces) against the same serial `run_sim` reference,
+    // on a one-worker pool.
     #[test]
     fn lockstep_batches_match_serial_reference_at_all_widths(
         entropy in prop::collection::vec(0u64..u64::MAX, 2..5),
@@ -397,7 +377,7 @@ fn degenerate_batch_shapes() {
 /// that trips its hotspot threshold stops early (a straggler the rest of
 /// the batch keeps running past), a prefiltered sub-threshold stop lane
 /// skips its per-substep analysis, and a lane whose geometry matches no one
-/// falls back to the classic per-run path — all bit-identical to serial.
+/// runs as a one-lane batch — all bit-identical to serial.
 #[test]
 fn lockstep_stop_prefilter_and_fallback_lanes_match_serial() {
     let _g = lock();
@@ -416,7 +396,7 @@ fn lockstep_stop_prefilter_and_fallback_lanes_match_serial() {
     let mut plain_a = base_cfg("gcc");
     plain_a.seed = 3;
     let plain_b = base_cfg("server_web");
-    // Lane 4: unique geometry — a singleton group, per-run fallback.
+    // Lane 4: unique geometry — a singleton group, a one-lane batch.
     let mut odd_geom = base_cfg("server_kv");
     odd_geom.cell_um = 420.0;
     let cfgs = vec![hot, cold_stop, plain_a, plain_b, odd_geom];
@@ -451,14 +431,7 @@ fn fig11_shaped_grid_on_two_workers_matches_serial_reference() {
             c
         })
         .collect();
-    let want: Vec<RunResult> = cfgs
-        .iter()
-        .map(|c| {
-            let mut c = c.clone();
-            c.analysis = c.analysis.serial();
-            run_sim(c)
-        })
-        .collect();
+    let want: Vec<RunResult> = cfgs.iter().cloned().map(run_sim).collect();
     let got = run_many_batched_with(cfgs, 2, 8, None);
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(&want) {
