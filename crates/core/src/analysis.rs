@@ -68,16 +68,6 @@ pub struct FrameAnalysis {
     pub prefiltered: bool,
 }
 
-/// Results of the fused combine/detect/severity sweep.
-struct RowStats {
-    hotspots: Vec<Hotspot>,
-    max_mltd: f64,
-    peak_sev: f64,
-    severity_evals: usize,
-    /// Rows whose severity sweep ran through the contiguous-slice kernel.
-    simd_rows: usize,
-}
-
 /// Reusable fused analyzer: computes the MLTD field, the hotspot set, the
 /// frame's max MLTD, and the exact peak severity in one sweep, holding all
 /// scratch buffers across calls.
@@ -171,32 +161,130 @@ impl FrameAnalyzer {
     /// MLTD + exact peak severity.
     pub fn analyze(&mut self, frame: &ThermalFrame) -> FrameAnalysis {
         self.prepare(frame);
-        let (nx, ny) = (frame.nx, frame.ny);
+        let Self {
+            params,
+            severity,
+            bound_usable,
+            r_cells,
+            pass_widths,
+            width_of_dy,
+            passes,
+            mltd,
+            rowmin,
+            winmin,
+        } = self;
+        let (temps, nx, ny, r) = (&frame.temps[..], frame.nx, frame.ny, *r_cells);
+        let bound_usable = *bound_usable;
         // The deduplicated sliding-window minimum passes.
-        for (pass, &width) in self.passes.iter_mut().zip(&self.pass_widths) {
-            rows_window_min_into(&frame.temps, nx, 0..ny, width, pass, &mut self.winmin);
+        for (pass, &width) in passes.iter_mut().zip(pass_widths.iter()) {
+            rows_window_min_into(temps, nx, 0..ny, width, pass, winmin);
         }
-        // Per-row chord combine + detection + severity.
-        self.rowmin.resize(nx, 0.0);
-        let stats = analyze_rows(
-            &frame.temps,
-            nx,
-            ny,
-            &self.passes,
-            &self.width_of_dy,
-            self.r_cells,
-            &self.params,
-            &self.severity,
-            self.bound_usable,
-            &mut self.mltd,
-            &mut self.rowmin,
-        );
-        counter!("detect.severity_evals", stats.severity_evals);
-        counter!("analysis.simd_rows", stats.simd_rows);
+
+        // The fused per-row sweep: combines the passes into the disc
+        // minimum, writes the MLTD field, detects hotspots (local maxima in
+        // x and y, ties allowed, clearing both Definition-1 thresholds), and
+        // folds the max MLTD and exact peak severity.
+        rowmin.resize(nx, 0.0);
+        let mut hotspots = Vec::new();
+        let (mut max_mltd, mut peak_sev) = (0.0f64, 0.0f64);
+        let (mut severity_evals, mut simd_rows) = (0usize, 0usize);
+        for iy in 0..ny {
+            // Disc minimum for this output row: min over the chord rows
+            // iy + dy, each already reduced horizontally by its pass.
+            rowmin.fill(f64::INFINITY);
+            for dy in -r..=r {
+                let sy = iy as isize + dy;
+                if sy < 0 || sy >= ny as isize {
+                    continue;
+                }
+                let mins = &passes[width_of_dy[dy.unsigned_abs()]];
+                let src = &mins[(sy as usize) * nx..(sy as usize + 1) * nx];
+                for (d, &s) in rowmin.iter_mut().zip(src) {
+                    if s < *d {
+                        *d = s;
+                    }
+                }
+            }
+
+            let trow = &temps[iy * nx..(iy + 1) * nx];
+            let mrow = &mut mltd[iy * nx..(iy + 1) * nx];
+            let mut row_max_t = f64::NEG_INFINITY;
+            let mut row_max_m = 0.0f64;
+            for ix in 0..nx {
+                let t = trow[ix];
+                let m = t - rowmin[ix];
+                mrow[ix] = m;
+                if t > row_max_t {
+                    row_max_t = t;
+                }
+                if m > row_max_m {
+                    row_max_m = m;
+                }
+            }
+            if row_max_m > max_mltd {
+                max_mltd = row_max_m;
+            }
+
+            // Hotspots: only possible when some cell clears T_th (Definition 1),
+            // which most rows of a sane die never do.
+            if row_max_t > params.t_threshold_c {
+                let up = (iy > 0).then(|| &temps[(iy - 1) * nx..iy * nx]);
+                let down = (iy + 1 < ny).then(|| &temps[(iy + 1) * nx..(iy + 2) * nx]);
+                for ix in 0..nx {
+                    let t = trow[ix];
+                    if t <= params.t_threshold_c {
+                        continue;
+                    }
+                    let m = mrow[ix];
+                    if m <= params.mltd_threshold_c {
+                        continue;
+                    }
+                    let ok_x =
+                        (ix == 0 || trow[ix - 1] <= t) && (ix + 1 >= nx || trow[ix + 1] <= t);
+                    let ok_y = up.is_none_or(|u| u[ix] <= t) && down.is_none_or(|d| d[ix] <= t);
+                    if ok_x && ok_y {
+                        hotspots.push(Hotspot {
+                            ix,
+                            iy,
+                            temp_c: t,
+                            mltd_c: m,
+                            severity: severity.severity(t, m),
+                        });
+                    }
+                }
+            }
+
+            // Exact peak severity with row pruning: the bound dominates every
+            // cell in the row, so rows that cannot beat the running peak skip
+            // the exp-heavy sweep without changing the final maximum.
+            let row_bound = bound_usable.then(|| severity.severity_bound(row_max_t, row_max_m));
+            let must_scan = row_bound.is_none_or(|b| b > peak_sev);
+            if must_scan {
+                // Contiguous-slice severity kernel into `rowmin` (free once the
+                // MLTD row above is written), then a left-to-right max fold —
+                // same per-element formula and selection as the scalar loop.
+                severity.severity_row(trow, mrow, rowmin);
+                for &s in rowmin.iter() {
+                    // The pruning is only sound if the row bound dominates every
+                    // cell severity in the row; check it where the lint cannot.
+                    debug_assert!(
+                        row_bound.is_none_or(|b| s <= b + 1e-12),
+                        "severity_bound {row_bound:?} does not dominate severity {s} in row {iy}",
+                    );
+                    if s > peak_sev {
+                        peak_sev = s;
+                    }
+                }
+                severity_evals += nx;
+                simd_rows += 1;
+            }
+        }
+        counter!("detect.severity_evals", severity_evals);
+        counter!("analysis.simd_rows", simd_rows);
         FrameAnalysis {
-            hotspots: stats.hotspots,
-            max_mltd_c: stats.max_mltd,
-            peak_severity: stats.peak_sev,
+            hotspots,
+            max_mltd_c: max_mltd,
+            peak_severity: peak_sev,
             prefiltered: false,
         }
     }
@@ -230,126 +318,6 @@ impl FrameAnalyzer {
         }
         self.mltd.resize(n, 0.0);
     }
-}
-
-/// The fused per-row sweep over the frame: combines the sliding-window
-/// passes into the disc minimum, writes the MLTD field into `mltd`, detects
-/// hotspots (local maxima in x and y, ties allowed, clearing both
-/// Definition-1 thresholds), and folds the max MLTD and exact peak
-/// severity.
-#[allow(clippy::too_many_arguments)]
-fn analyze_rows(
-    temps: &[f64],
-    nx: usize,
-    ny: usize,
-    passes: &[Vec<f64>],
-    width_of_dy: &[usize],
-    r: isize,
-    params: &HotspotParams,
-    severity: &SeverityParams,
-    bound_usable: bool,
-    mltd: &mut [f64],
-    rowmin: &mut [f64],
-) -> RowStats {
-    debug_assert_eq!(mltd.len(), ny * nx);
-    let mut out = RowStats {
-        hotspots: Vec::new(),
-        max_mltd: 0.0,
-        peak_sev: 0.0,
-        severity_evals: 0,
-        simd_rows: 0,
-    };
-    for iy in 0..ny {
-        // Disc minimum for this output row: min over the chord rows
-        // iy + dy, each already reduced horizontally by its pass.
-        rowmin.fill(f64::INFINITY);
-        for dy in -r..=r {
-            let sy = iy as isize + dy;
-            if sy < 0 || sy >= ny as isize {
-                continue;
-            }
-            let mins = &passes[width_of_dy[dy.unsigned_abs()]];
-            let src = &mins[(sy as usize) * nx..(sy as usize + 1) * nx];
-            for (d, &s) in rowmin.iter_mut().zip(src) {
-                if s < *d {
-                    *d = s;
-                }
-            }
-        }
-
-        let trow = &temps[iy * nx..(iy + 1) * nx];
-        let mrow = &mut mltd[iy * nx..(iy + 1) * nx];
-        let mut row_max_t = f64::NEG_INFINITY;
-        let mut row_max_m = 0.0f64;
-        for ix in 0..nx {
-            let t = trow[ix];
-            let m = t - rowmin[ix];
-            mrow[ix] = m;
-            if t > row_max_t {
-                row_max_t = t;
-            }
-            if m > row_max_m {
-                row_max_m = m;
-            }
-        }
-        if row_max_m > out.max_mltd {
-            out.max_mltd = row_max_m;
-        }
-
-        // Hotspots: only possible when some cell clears T_th (Definition 1),
-        // which most rows of a sane die never do.
-        if row_max_t > params.t_threshold_c {
-            let up = (iy > 0).then(|| &temps[(iy - 1) * nx..iy * nx]);
-            let down = (iy + 1 < ny).then(|| &temps[(iy + 1) * nx..(iy + 2) * nx]);
-            for ix in 0..nx {
-                let t = trow[ix];
-                if t <= params.t_threshold_c {
-                    continue;
-                }
-                let m = mrow[ix];
-                if m <= params.mltd_threshold_c {
-                    continue;
-                }
-                let ok_x = (ix == 0 || trow[ix - 1] <= t) && (ix + 1 >= nx || trow[ix + 1] <= t);
-                let ok_y = up.is_none_or(|u| u[ix] <= t) && down.is_none_or(|d| d[ix] <= t);
-                if ok_x && ok_y {
-                    out.hotspots.push(Hotspot {
-                        ix,
-                        iy,
-                        temp_c: t,
-                        mltd_c: m,
-                        severity: severity.severity(t, m),
-                    });
-                }
-            }
-        }
-
-        // Exact peak severity with row pruning: the bound dominates every
-        // cell in the row, so rows that cannot beat the running peak skip
-        // the exp-heavy sweep without changing the final maximum.
-        let row_bound = bound_usable.then(|| severity.severity_bound(row_max_t, row_max_m));
-        let must_scan = row_bound.is_none_or(|b| b > out.peak_sev);
-        if must_scan {
-            // Contiguous-slice severity kernel into `rowmin` (free once the
-            // MLTD row above is written), then a left-to-right max fold —
-            // same per-element formula and selection as the scalar loop.
-            severity.severity_row(trow, mrow, rowmin);
-            for &s in rowmin.iter() {
-                // The pruning is only sound if the row bound dominates every
-                // cell severity in the row; check it where the lint cannot.
-                debug_assert!(
-                    row_bound.is_none_or(|b| s <= b + 1e-12),
-                    "severity_bound {row_bound:?} does not dominate severity {s} in row {iy}",
-                );
-                if s > out.peak_sev {
-                    out.peak_sev = s;
-                }
-            }
-            out.severity_evals += nx;
-            out.simd_rows += 1;
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -113,8 +113,8 @@ fn rows_window_min(temps: &[f64], nx: usize, ny: usize, w: isize) -> Vec<f64> {
 /// Sliding-window minimum of half-width `w` applied to rows
 /// `rows.start..rows.end` of the field, writing results into `out` (which
 /// must hold exactly `rows.len() * nx` values, `out[0]` being the first cell
-/// of row `rows.start`). `scratch` is caller-provided so sharded callers
-/// reuse it across passes instead of allocating per pass.
+/// of row `rows.start`). `scratch` is caller-provided so callers reuse it
+/// across passes instead of allocating per pass.
 ///
 /// Uses the two-pass block-minimum formulation (van Herk / Gil–Werman): the
 /// row is padded with `+∞` sentinels on both sides, split into blocks of the
