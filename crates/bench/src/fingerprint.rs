@@ -13,6 +13,7 @@ use hotgauge_core::pipeline::{
     build_floorplan, run_sim, BatchedCoSim, CoSimulation, HistSpec, RunResult, SimConfig,
 };
 use hotgauge_core::sweep::run_many_batched_with;
+use hotgauge_core::throttle::ThrottlePolicy;
 use hotgauge_floorplan::{FloorplanGrid, TechNode};
 use hotgauge_perf::config::{CoreConfig, MemoryConfig};
 use hotgauge_perf::engine::CoreSim;
@@ -215,10 +216,12 @@ fn push_counts(h: &mut Fnv, counts: &[usize]) {
 }
 
 /// Hash of one co-simulation result: every [`RunResult`] field except the
-/// recorded `config`, floats by their bit patterns, with every vector
-/// length and `Option` tag hashed too. Two runs hash equal only when every
-/// record, the TUH, the census, both histograms, the instruction count, the
-/// final frame and the severity series are bit-identical.
+/// recorded `config` and the `throttled_windows` count, floats by their bit
+/// patterns, with every vector length and `Option` tag hashed too. Two runs
+/// hash equal only when every record, the TUH, the census, both
+/// histograms, the instruction count, the final frame and the severity
+/// series are bit-identical. A throttled window shows in its record's power
+/// and in the instruction count.
 pub fn run_hash(r: &RunResult) -> u64 {
     let mut h = Fnv::new();
     h.push(r.records.len() as u64);
@@ -297,7 +300,9 @@ fn stop_early(c: &mut SimConfig) {
 /// * `batch.0..2` — a 3-lane [`BatchedCoSim`] whose lane 1 stops early and
 ///   whose lane 2 runs longer;
 /// * `sweep.0..4` — `run_many_batched_with` at 2 threads and batch 2 over
-///   five cold jobs on two geometries.
+///   five cold jobs on two geometries;
+/// * `throttle` — a cold run on a geometry of its own under a zero-latency
+///   DVFS policy whose low trigger engages and releases within its 2 ms.
 ///
 /// The idle-warm-up memo is process-global, so the idle case has a
 /// geometry of its own: its result does not depend on what ran before it.
@@ -367,5 +372,15 @@ pub fn run_cases() -> Vec<(String, RunResult)> {
     {
         out.push((format!("sweep.{i}"), r));
     }
+
+    let mut throttle = run_case_cfg("gcc");
+    throttle.cell_um = 320.0;
+    throttle.throttle = Some(ThrottlePolicy {
+        trigger_severity: 0.2,
+        release_severity: 0.1,
+        sensor_latency_windows: 0,
+        ..ThrottlePolicy::mitigation_default()
+    });
+    out.push(("throttle".to_owned(), run_sim(throttle)));
     out
 }

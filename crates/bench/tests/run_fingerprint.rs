@@ -1,9 +1,12 @@
 //! Golden fingerprints of the co-simulation run loop: solo cold, idle and
 //! stop-at-first-hotspot runs, a 3-lane lockstep batch with an early-stopping
-//! lane, and a pooled 5-job sweep on two geometries, each hashed by
-//! `hotgauge_bench::fingerprint::run_hash` (the `stream_hash --run`
-//! harness). The hashes were recorded before the solo, overlap and lockstep
-//! loops were merged into one stepper; any change to what a run records
+//! lane, a pooled 5-job sweep on two geometries and a DVFS-throttled run,
+//! each hashed by `hotgauge_bench::fingerprint::run_hash` (the
+//! `stream_hash --run` harness). The first eleven hashes were recorded
+//! before the solo, overlap and lockstep loops were merged into one
+//! stepper. The `throttle` hash was recorded on the change that moved the
+//! throttle policy into `SimConfig` and its control loop into that stepper,
+//! where the eleven others held unchanged. Any change to what a run records
 //! changes at least one.
 //!
 //! Every case runs inside this one test: the idle-warm-up memo is
@@ -12,7 +15,7 @@
 
 use hotgauge_bench::fingerprint::{run_cases, run_hash};
 
-const GOLDEN: [(&str, u64); 11] = [
+const GOLDEN: [(&str, u64); 12] = [
     ("cold", 0x9b3a_64eb_07e1_e45b),
     ("idle", 0x303a_2b05_2d9f_71b2),
     ("stop", 0x4862_fb87_230d_41dd),
@@ -24,6 +27,7 @@ const GOLDEN: [(&str, u64); 11] = [
     ("sweep.2", 0x84ee_27e4_d745_5b01),
     ("sweep.3", 0x004d_017a_6930_f1ff),
     ("sweep.4", 0xcc96_0212_87db_7a4e),
+    ("throttle", 0x7542_4693_e86c_4ea4),
 ];
 
 #[test]
@@ -62,6 +66,20 @@ fn run_fingerprints_match_golden() {
     assert!(hot.tuh_s.is_some());
     assert!(hot.records.len() < result("batch.0").records.len());
     assert!(result("batch.2").records.len() > result("batch.0").records.len());
+    // The throttle case must engage, and must release: a throttled window's
+    // chip power is a fraction of a nominal one's.
+    let throttle = result("throttle");
+    assert!(
+        throttle.throttled_windows > 0,
+        "the throttle case must engage"
+    );
+    assert!(
+        throttle
+            .records
+            .windows(2)
+            .any(|w| w[1].power_w > 2.0 * w[0].power_w),
+        "the throttle case must release within its horizon"
+    );
 
     let mismatches: Vec<String> = cases
         .iter()

@@ -23,8 +23,9 @@
 //!   in lockstep multi-RHS batches ([`sweep`]);
 //! * canned **experiment runners** for every table and figure
 //!   ([`experiments`]) and report formatting ([`report`]);
-//! * a severity-triggered **DVFS throttling** control loop ([`throttle`]) —
-//!   the dynamic mitigation the paper motivates as future work.
+//! * severity-triggered **DVFS throttling** ([`throttle`]), a per-run
+//!   policy the run loop applies window by window — the dynamic
+//!   mitigation the paper motivates as future work.
 //!
 //! # Quickstart
 //!
@@ -70,7 +71,7 @@ pub use crate::severity::{peak_severity, SeverityParams, Sigmoid};
 pub use crate::sweep::{
     pool_workers, run_batch_in, run_many_batched_with, run_sim_in, SweepArena, DEFAULT_BATCH_WIDTH,
 };
-pub use crate::throttle::{run_throttled, ThrottlePolicy, ThrottledRunResult};
+pub use crate::throttle::ThrottlePolicy;
 pub use crate::units::{Celsius, Microns};
 
 /// Convenient glob import of the most used types.

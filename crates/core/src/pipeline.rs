@@ -43,6 +43,7 @@ use crate::detect::HotspotParams;
 use crate::locations::HotspotCensus;
 use crate::series::TimeSeries;
 use crate::severity::SeverityParams;
+use crate::throttle::{LaneThrottle, ThrottlePolicy};
 use crate::units;
 
 /// Intra-unit power concentration used by the pipeline: 80 % of a unit's
@@ -104,6 +105,9 @@ pub struct SimConfig {
     pub stop_at_first_hotspot: bool,
     /// Whether the other cores run the idle/OS background task (vs parked).
     pub background_idle: bool,
+    /// Severity-triggered DVFS throttling ([`ThrottlePolicy`]); `None` runs
+    /// every window at the nominal operating point.
+    pub throttle: Option<ThrottlePolicy>,
     /// Unit names whose peak severity is tracked per step (Fig. 13).
     pub track_units: Vec<String>,
     /// Record a temperature histogram per step (Fig. 8).
@@ -144,6 +148,7 @@ impl SimConfig {
             ic_area_factor: 1.0,
             stop_at_first_hotspot: false,
             background_idle: true,
+            throttle: None,
             track_units: Vec::new(),
             temp_histogram: None,
             delta_histogram: None,
@@ -208,6 +213,9 @@ pub struct RunResult {
     pub delta_hist: Option<(Vec<f64>, Vec<usize>)>,
     /// Instructions represented by the run (sampled rates × windows).
     pub total_instructions: u64,
+    /// Windows run at the throttled operating point of `config.throttle`
+    /// (0 without a policy).
+    pub throttled_windows: u64,
     /// The last active-layer frame.
     pub final_frame: ThermalFrame,
     /// Peak-severity time series (times mirror `records`).
@@ -549,7 +557,6 @@ impl CoSimulation {
     }
 
     fn idle_power_map(
-        cfg: &SimConfig,
         fp: &Floorplan,
         grid: &FloorplanGrid,
         power: &PowerModel,
@@ -565,7 +572,6 @@ impl CoSimulation {
             })
             .collect();
         let breakdown = power.evaluate(&cores, &temps);
-        let _ = cfg;
         // Idle power is dominated by clock + leakage; spread it uniformly.
         grid.power_map(&breakdown.unit_watts)
     }
@@ -593,16 +599,20 @@ impl CoSimulation {
 
     /// Stages 1–3 of the per-window loop: one perf sample, the power
     /// evaluation and the rasterization. Only the core/workload models are
-    /// mutated; the thermal state is read for leakage feedback.
-    fn produce_window(&mut self) -> WindowOutput {
+    /// mutated; the thermal state is read for leakage feedback. `throttled`
+    /// is the window's throttled power model and cycle count (see
+    /// [`LaneThrottle::begin_window`]); `None` runs it at the nominal point.
+    fn produce_window(&mut self, throttled: Option<(&PowerModel, u64)>) -> WindowOutput {
         let cfg = &self.cfg;
-        // 1. Performance window (sampled).
+        let (power, cycles) = throttled.unwrap_or((&self.power, CoreConfig::TIME_STEP_CYCLES));
+        // 1. Performance window (sampled). At a lower clock the same
+        // wall-clock window spans proportionally fewer cycles.
         let window = {
             let _stage = span!("stage.perf");
             self.core.run_instructions(&mut self.gen, cfg.sample_instrs)
         };
         let ipc = window.ipc();
-        let instr_delta = (ipc * CoreConfig::TIME_STEP_CYCLES as f64) as u64;
+        let instr_delta = (ipc * cycles as f64) as u64;
 
         // 2. Power from activity + temperature.
         let frame_before = self.thermal.die_frame();
@@ -625,7 +635,7 @@ impl CoSimulation {
                 activity: &window,
                 duty: 1.0,
             };
-            self.power.evaluate(&cores, &temps)
+            power.evaluate(&cores, &temps)
         };
         // 3. Rasterize unit watts onto the active-layer grid.
         let power_map = {
@@ -782,7 +792,8 @@ pub(crate) fn run_lanes(
                 lane_done(i);
                 continue;
             }
-            let w = lane.sim.produce_window();
+            let throttled = lane.throttle.as_mut().and_then(LaneThrottle::begin_window);
+            let w = lane.sim.produce_window(throttled);
             lane.instructions += w.instr_delta;
             counter!("pipeline.substeps", substeps);
             lane.window = Some(w);
@@ -834,6 +845,9 @@ pub(crate) fn run_lanes(
             if let Some((ref h, _, ref mut counts)) = lane.delta_counts {
                 accumulate_deltas(h, counts, &w.frame_before, &lane.sim.thermal.die_frame());
             }
+            if let (Some(t), Some(&sev)) = (&mut lane.throttle, lane.sev_series.values.last()) {
+                t.end_window(sev);
+            }
             lane.windows += 1;
             if let Some(cb) = on_window {
                 let cfg = &lane.sim.cfg;
@@ -873,6 +887,8 @@ struct Lane {
     track_idx: Vec<usize>,
     /// Whether the sub-threshold prefilter engages (see [`Lane::new`]).
     prefilter: bool,
+    /// The DVFS controller of `cfg.throttle`.
+    throttle: Option<LaneThrottle>,
     time_s: f64,
     instructions: u64,
     /// Windows completed through all their substeps.
@@ -911,17 +927,23 @@ impl Lane {
         // The prefilter records zeros for MLTD/severity on provably
         // hotspot-free substeps, so it only engages where those fields are
         // never consumed: stop-at-first-hotspot (TUH) runs without per-unit
-        // severity tracking. The TUH itself is exact either way — a frame
-        // whose max is at or below `T_th` cannot contain a hotspot.
-        let prefilter = cfg.analysis.prefilter && cfg.stop_at_first_hotspot && track_idx.is_empty();
+        // severity tracking or a throttle controller reading the severity.
+        // The TUH itself is exact either way — a frame whose max is at or
+        // below `T_th` cannot contain a hotspot.
+        let prefilter = cfg.analysis.prefilter
+            && cfg.stop_at_first_hotspot
+            && track_idx.is_empty()
+            && cfg.throttle.is_none();
         let delta_counts = cfg
             .delta_histogram
             .map(|h| (h, edges(&h), vec![0usize; h.bins]));
+        let throttle = cfg.throttle.map(|p| LaneThrottle::new(p, &sim.power));
         Self {
             sim,
             analyzer,
             track_idx,
             prefilter,
+            throttle,
             time_s: 0.0,
             instructions: 0,
             windows: 0,
@@ -1027,6 +1049,7 @@ impl Lane {
             census: self.census,
             delta_hist: self.delta_counts.map(|(_, e, c)| (e, c)),
             total_instructions: self.instructions,
+            throttled_windows: self.throttle.map_or(0, |t| t.windows),
             final_frame,
             sev_series: self.sev_series,
         };
@@ -1057,9 +1080,6 @@ fn accumulate_deltas(
     }
 }
 
-/// Idle warm-up states are identical for every run that shares a floorplan,
-/// grid resolution, and border — and a TUH sweep launches hundreds of such
-/// runs. Cache them process-wide.
 /// The background-core activity window for one idle stream, memoized
 /// process-wide.
 ///
@@ -1087,6 +1107,12 @@ fn idle_activity_cached(seed: u64) -> ActivityCounters {
     act
 }
 
+/// The idle thermal warm-up state of a run, memoized process-wide under the
+/// key `floorplan name | cell size | border`. The key omits the idle stream
+/// seed (`cfg.seed ^ target_core ^ node`) that drives `idle_act`, so the
+/// first run of a geometry fixes the state every later run of that geometry
+/// reads, whatever its seed or core (see ROADMAP.md, "Make runs
+/// hermetic").
 fn warmup_state_cached(
     cfg: &SimConfig,
     fp: &Floorplan,
@@ -1103,7 +1129,7 @@ fn warmup_state_cached(
     if let Some(state) = cache.lock().get(&key) {
         return state.as_ref().clone();
     }
-    let idle_power = CoSimulation::idle_power_map(cfg, fp, grid, power, thermal, idle_act);
+    let idle_power = CoSimulation::idle_power_map(fp, grid, power, thermal, idle_act);
     let state = hotgauge_thermal::warmup::initial_state(
         thermal.model(),
         Warmup::Idle,
@@ -1324,6 +1350,7 @@ mod tests {
         assert_eq!(a.sev_series, b.sev_series);
         assert_eq!(a.final_frame, b.final_frame);
         assert_eq!(a.total_instructions, b.total_instructions);
+        assert_eq!(a.throttled_windows, b.throttled_windows);
         assert_eq!(a.delta_hist, b.delta_hist);
     }
 

@@ -176,6 +176,17 @@ impl PowerModel {
         &self.params
     }
 
+    /// This model at another operating point. The unit table depends only
+    /// on the floorplan and the node, so the result equals
+    /// [`PowerModel::new`] of the same floorplan with `params`, without
+    /// rebuilding it.
+    pub fn with_params(&self, params: PowerParams) -> Self {
+        Self {
+            params,
+            ..self.clone()
+        }
+    }
+
     /// Number of floorplan units.
     pub fn unit_count(&self) -> usize {
         self.units.len()
@@ -532,5 +543,24 @@ mod tests {
         let b = one_busy_core(&m, n, &act);
         let sum: f64 = b.unit_watts.iter().sum();
         assert!((sum - b.total_w()).abs() < 1e-9 * sum);
+    }
+
+    #[test]
+    fn with_params_equals_a_model_built_at_that_point() {
+        let fp = SkylakeProxy::new(TechNode::N7).build();
+        let n = fp.units.len();
+        let point = PowerParams {
+            vdd: 0.95,
+            freq_ghz: 2.5,
+            ..PowerParams::default()
+        };
+        let built = PowerModel::new(&fp, TechNode::N7, point);
+        let derived = PowerModel::new(&fp, TechNode::N7, PowerParams::default()).with_params(point);
+        assert_eq!(derived.params(), &point);
+        let act = busy_activity();
+        assert_eq!(
+            one_busy_core(&derived, n, &act),
+            one_busy_core(&built, n, &act)
+        );
     }
 }

@@ -16,6 +16,7 @@ use proptest::prelude::*;
 
 use hotgauge_core::analysis::AnalysisConfig;
 use hotgauge_core::pipeline::{run_sim, RunResult, SimConfig};
+use hotgauge_core::ThrottlePolicy;
 use hotgauge_floorplan::tech::TechNode;
 use hotgauge_store::{canonical_string, key_of_value, run_key, ResultStore};
 use hotgauge_thermal::warmup::Warmup;
@@ -40,6 +41,7 @@ fn assert_same_run(a: &RunResult, b: &RunResult) {
     assert_eq!(a.census, b.census);
     assert_eq!(a.delta_hist, b.delta_hist);
     assert_eq!(a.total_instructions, b.total_instructions);
+    assert_eq!(a.throttled_windows, b.throttled_windows);
     assert_eq!(a.final_frame, b.final_frame);
     assert_eq!(a.sev_series, b.sev_series);
 }
@@ -195,6 +197,21 @@ fn single_field_mutations_all_change_the_key() {
         ),
         ("solver_threads", with(&base, |c| c.solver_threads = 3)),
         (
+            "throttle",
+            with(&base, |c| {
+                c.throttle = Some(ThrottlePolicy::mitigation_default())
+            }),
+        ),
+        (
+            "throttle.sensor_latency_windows",
+            with(&base, |c| {
+                c.throttle = Some(ThrottlePolicy {
+                    sensor_latency_windows: 4,
+                    ..ThrottlePolicy::mitigation_default()
+                })
+            }),
+        ),
+        (
             "track_units",
             with(&base, |c| c.track_units.push("L2".to_owned())),
         ),
@@ -248,7 +265,7 @@ fn golden_value_key_is_pinned() {
 fn golden_run_key_is_pinned() {
     assert_eq!(
         run_key(&pinned_cfg()).as_hex(),
-        "beb57cf7053d6e4a3b465701abfc0548"
+        "43926afb04a93a2a04d7c03538116bfe"
     );
 }
 

@@ -21,8 +21,10 @@ use std::sync::{Mutex, MutexGuard};
 use proptest::prelude::*;
 
 use hotgauge_core::experiments::Fidelity;
-use hotgauge_core::pipeline::{run_many, run_sim, RunResult, SimConfig};
-use hotgauge_core::{run_many_batched_with, run_sim_in, SweepArena};
+use hotgauge_core::pipeline::{
+    run_many, run_sim, BatchedCoSim, CoSimulation, RunResult, SimConfig,
+};
+use hotgauge_core::{run_batch_in, run_many_batched_with, run_sim_in, SweepArena, ThrottlePolicy};
 use hotgauge_floorplan::tech::TechNode;
 use hotgauge_store::{
     run_many_keyed_with, run_many_stored_with, serve, DeltaBasis, ResultStore, RunSource,
@@ -49,6 +51,7 @@ fn assert_same_run(a: &RunResult, b: &RunResult) {
     assert_eq!(a.census, b.census);
     assert_eq!(a.delta_hist, b.delta_hist);
     assert_eq!(a.total_instructions, b.total_instructions);
+    assert_eq!(a.throttled_windows, b.throttled_windows);
     assert_eq!(a.final_frame, b.final_frame);
     assert_eq!(a.sev_series, b.sev_series);
 }
@@ -64,9 +67,21 @@ fn base_cfg(benchmark: &str) -> SimConfig {
     c
 }
 
+/// A zero-latency DVFS policy with a trigger low enough that a cold 7 nm
+/// run engages it within its first windows.
+fn low_trigger() -> ThrottlePolicy {
+    ThrottlePolicy {
+        trigger_severity: 0.1,
+        release_severity: 0.08,
+        sensor_latency_windows: 0,
+        ..ThrottlePolicy::mitigation_default()
+    }
+}
+
 /// Heterogeneous sweep entries: SPEC proxies and server traces over several
 /// geometries (so arenas hit, miss, and evict), varying seeds, target cores,
-/// and substep counts.
+/// substep counts and throttle policies (a policy never splits a lockstep
+/// group, so throttled and unthrottled lanes share batches).
 /// Every dimension is sliced deterministically out of one entropy word.
 fn cfg_from_entropy(bits: u64) -> SimConfig {
     let benches = ["hmmer", "povray", "gcc", "server_web", "server_kv"];
@@ -84,6 +99,11 @@ fn cfg_from_entropy(bits: u64) -> SimConfig {
     // setting, so the differential references below stay valid whichever
     // value a case draws (0 = auto).
     c.solver_threads = [1, 0, 2, 4][((bits >> 17) % 4) as usize];
+    c.throttle = [
+        None,
+        Some(ThrottlePolicy::mitigation_default()),
+        Some(low_trigger()),
+    ][((bits >> 19) % 3) as usize];
     c
 }
 
@@ -413,6 +433,55 @@ fn lockstep_stop_prefilter_and_fallback_lanes_match_serial() {
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(&want) {
         assert_same_run(g, w);
+    }
+}
+
+/// Throttled lanes in lockstep: lanes under different policies, an
+/// unthrottled lane and a throttled lane that stops at its first hotspot
+/// share one `BatchedCoSim` and one `run_batch_in` batch, and every lane
+/// equals its solo run bit for bit.
+#[test]
+fn throttled_lanes_match_their_solo_runs_in_lockstep() {
+    let _g = lock();
+    let lane = |bench: &str, throttle: Option<ThrottlePolicy>| {
+        let mut c = base_cfg(bench);
+        c.max_time_s = 2e-3;
+        c.throttle = throttle;
+        c
+    };
+    let slow_sensor = ThrottlePolicy {
+        sensor_latency_windows: 2,
+        ..low_trigger()
+    };
+    let mut stop = lane("gcc", Some(low_trigger()));
+    stop.stop_at_first_hotspot = true;
+    stop.detect.t_threshold_c = 48.0;
+    stop.detect.mltd_threshold_c = 0.05;
+    stop.analysis.prefilter = true;
+    let cfgs = vec![
+        lane("hmmer", Some(low_trigger())),
+        lane("povray", Some(slow_sensor)),
+        lane("gcc", Some(ThrottlePolicy::mitigation_default())),
+        lane("server_web", None),
+        stop,
+    ];
+    let want: Vec<RunResult> = cfgs.iter().cloned().map(run_sim).collect();
+    assert!(
+        want[0].throttled_windows > 0 && want[1].throttled_windows > 0,
+        "premise: the low-trigger lanes must engage"
+    );
+    assert_eq!(want[3].throttled_windows, 0);
+    assert!(
+        want[4].tuh_s.is_some() && want[4].records.len() < want[3].records.len(),
+        "premise: the stop lane must stop before its batch mates"
+    );
+    let batched = BatchedCoSim::new(cfgs.iter().cloned().map(CoSimulation::new).collect()).run();
+    let in_arena = run_batch_in(cfgs, &mut SweepArena::new(), None);
+    for got in [batched, in_arena] {
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_same_run(g, w);
+        }
     }
 }
 
