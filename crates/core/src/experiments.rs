@@ -146,7 +146,10 @@ impl Fidelity {
 /// way the paper validates it: run the workload, take core dynamic power,
 /// divide by `V²f`.
 pub fn benchmark_cdyn_nf(benchmark: &str, node: TechNode) -> f64 {
-    // hotgauge-lint: allow(L001, "callers iterate VALIDATION_BENCHMARKS, a compile-time list of known profiles")
+    #[expect(
+        clippy::expect_used,
+        reason = "callers iterate VALIDATION_BENCHMARKS, a compile-time list of known profiles"
+    )]
     let profile = spec2006::profile(benchmark).expect("known benchmark");
     let mut gen = WorkloadGen::new(profile, 1);
     let mut core = CoreSim::new(CoreConfig::default(), MemoryConfig::default());
@@ -174,7 +177,10 @@ pub fn table3_rows() -> Vec<CdynValidationRow> {
     for node in [TechNode::N14, TechNode::N10] {
         for bench in spec2006::VALIDATION_BENCHMARKS {
             let model_nf = benchmark_cdyn_nf(bench, node);
-            // hotgauge-lint: allow(L001, "VALIDATION_BENCHMARKS and the silicon table are maintained together; a miss is a table bug")
+            #[expect(
+                clippy::expect_used,
+                reason = "VALIDATION_BENCHMARKS and the silicon table are maintained together; a miss is a table bug"
+            )]
             let silicon_nf = silicon_cdyn(bench, node).expect("validation benchmark");
             rows.push(CdynValidationRow {
                 benchmark: bench.to_owned(),
@@ -226,7 +232,10 @@ pub struct PowerDensityRow {
 /// Reproduces the §II-A trend: power decreasing roughly linearly per node
 /// while power density increases (bzip2, 1 thread, 5 GHz / 1.4 V).
 pub fn sec2a_power_density() -> Vec<PowerDensityRow> {
-    // hotgauge-lint: allow(L001, "bzip2 is a compile-time member of the SPEC2006 proxy table")
+    #[expect(
+        clippy::expect_used,
+        reason = "bzip2 is a compile-time member of the SPEC2006 proxy table"
+    )]
     let profile = spec2006::profile("bzip2").expect("bzip2 exists");
     let mut gen = WorkloadGen::new(profile, 2);
     let mut core = CoreSim::new(CoreConfig::default(), MemoryConfig::default());
@@ -688,7 +697,7 @@ pub fn fig2_delta_distributions(
         .into_iter()
         .map(|r| {
             let node = r.config.node;
-            // hotgauge-lint: allow(L001, "delta_histogram is set on every config built a few lines above, so every result carries the histogram")
+            #[expect(clippy::expect_used, reason = "delta_histogram is set on every config built a few lines above, so every result carries the histogram")]
             let (e, c) = r.delta_hist.expect("requested");
             (node, e, c)
         })

@@ -206,7 +206,10 @@ pub fn rows_window_min_deque(
         // Classic monotonic deque over windows [i-w, i+w].
         for i in 0..nx + w {
             if i < nx {
-                // hotgauge-lint: allow(L001, "deque.len() > head >= 0 in the loop guard implies the deque is non-empty, so last() always holds a value; this is the monotonic-deque invariant on the hot path")
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "deque.len() > head >= 0 in the loop guard implies the deque is non-empty, so last() always holds a value; this is the monotonic-deque invariant on the hot path"
+                )]
                 while deque.len() > head && row[*deque.last().unwrap()] >= row[i] {
                     deque.pop();
                 }

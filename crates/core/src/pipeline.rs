@@ -375,8 +375,11 @@ impl CoSimulation {
     /// Panics if the benchmark name is unknown or the configuration is
     /// inconsistent (e.g. target core out of range). User-input paths
     /// (CLI, manifests) should call [`CoSimulation::try_new`] instead.
+    #[expect(
+        clippy::panic,
+        reason = "programmatic constructor for configs built in code; the CLI/manifest path goes through try_new and exits 2 on bad input"
+    )]
     pub fn new(cfg: SimConfig) -> Self {
-        // hotgauge-lint: allow(L001, "programmatic constructor for configs built in code; the CLI/manifest path goes through try_new and exits 2 on bad input")
         Self::try_new(cfg).unwrap_or_else(|e| panic!("invalid simulation config: {e}"))
     }
 
@@ -450,8 +453,11 @@ impl CoSimulation {
 
         // Workload stream + core, warmed up before the ROI as in the paper.
         // Never recycled: the stream depends on benchmark and seed.
+        #[expect(
+            clippy::panic,
+            reason = "benchmark name validated at the top of try_new_reusing; a miss here is a bug, not user input"
+        )]
         let profile = benchmark_profile(&cfg.benchmark)
-            // hotgauge-lint: allow(L001, "benchmark name validated at the top of try_new_reusing; a miss here is a bug, not user input")
             .unwrap_or_else(|| panic!("unknown benchmark {}", cfg.benchmark));
         let seed = cfg.seed
             ^ (cfg.target_core as u64) << 32
@@ -914,13 +920,16 @@ impl Lane {
     fn new((sim, mut analyzer): (CoSimulation, FrameAnalyzer)) -> Self {
         let cfg = &sim.cfg;
         analyzer.reconfigure(cfg.detect, cfg.severity);
+        #[expect(
+            clippy::panic,
+            reason = "track_units validated against the floorplan in try_new; a miss here is a bug, not user input"
+        )]
         let track_idx: Vec<usize> = cfg
             .track_units
             .iter()
             .map(|n| {
                 sim.fp
                     .unit_index_by_name(n)
-                    // hotgauge-lint: allow(L001, "track_units validated against the floorplan in try_new; a miss here is a bug, not user input")
                     .unwrap_or_else(|| panic!("unknown tracked unit {n}"))
             })
             .collect();

@@ -95,8 +95,11 @@ pub fn fmt_tuh(tuh: Option<f64>, cap_s: f64) -> String {
 }
 
 /// Serializes any result to pretty JSON (for EXPERIMENTS.md artifacts).
+#[expect(
+    clippy::expect_used,
+    reason = "all report types derive Serialize with no fallible custom impls; a failure is a programming error"
+)]
 pub fn to_json<T: Serialize>(value: &T) -> String {
-    // hotgauge-lint: allow(L001, "all report types derive Serialize with no fallible custom impls; a failure is a programming error")
     serde_json::to_string_pretty(value).expect("results are serializable")
 }
 

@@ -183,8 +183,11 @@ pub fn run_batch_in(
             Some(first) if geom_key(&cfg) == key => Some(first.clone_geom_parts()),
             Some(_) => None,
         };
+        #[expect(
+            clippy::panic,
+            reason = "programmatic entry point mirroring run_sim/CoSimulation::new; user-input paths validate through try_new and exit 2"
+        )]
         let sim = CoSimulation::try_new_reusing(cfg, geom)
-            // hotgauge-lint: allow(L001, "programmatic entry point mirroring run_sim/CoSimulation::new; user-input paths validate through try_new and exit 2")
             .unwrap_or_else(|e| panic!("invalid simulation config: {e}"));
         lanes.push(sim);
     }
@@ -263,6 +266,10 @@ pub fn run_many_with(
 /// [`MAX_LOCKSTEP_WIDTH`], and groups are split narrower where that
 /// balances the lanes across the pool (see `partition`). Neither ever
 /// changes any result — only how many runs share each thermal solve.
+#[expect(
+    clippy::expect_used,
+    reason = "every work item is claimed by exactly one worker before the scope joins, so every slot is Some; a worker panic already propagated at scope exit"
+)]
 pub fn run_many_batched_with(
     cfgs: Vec<SimConfig>,
     threads: usize,
@@ -352,7 +359,6 @@ pub fn run_many_batched_with(
     }
     results
         .into_iter()
-        // hotgauge-lint: allow(L001, "every work item is claimed by exactly one worker before the scope joins, so every slot is Some; a worker panic already propagated at scope exit")
         .map(|r| r.expect("every run completed"))
         .collect()
 }

@@ -29,8 +29,11 @@ impl Floorplan {
             die,
             units,
         };
+        #[expect(
+            clippy::panic,
+            reason = "this constructor takes programmatic geometry; user-supplied floorplans go through from_json, which returns the validation error"
+        )]
         fp.validate()
-            // hotgauge-lint: allow(L001, "this constructor takes programmatic geometry; user-supplied floorplans go through from_json, which returns the validation error")
             .unwrap_or_else(|e| panic!("invalid floorplan: {e}"));
         fp
     }
@@ -115,8 +118,11 @@ impl Floorplan {
     /// Serializes the floorplan to pretty JSON — the interchange format for
     /// custom architectures ("HotGauge is system-agnostic ... if provided
     /// with a power and performance model", §III).
+    #[expect(
+        clippy::expect_used,
+        reason = "Floorplan derives Serialize with no fallible custom impls; a failure is a programming error"
+    )]
     pub fn to_json(&self) -> String {
-        // hotgauge-lint: allow(L001, "Floorplan derives Serialize with no fallible custom impls; a failure is a programming error")
         serde_json::to_string_pretty(self).expect("floorplans serialize")
     }
 

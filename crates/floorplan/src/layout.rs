@@ -173,7 +173,7 @@ mod tests {
                 UnitKind::L2 => 2.0 / 6.0 * 12.0,
                 UnitKind::Rob | UnitKind::FpIWin => 1.0 / 6.0 * 12.0,
                 UnitKind::CAlu => 2.0 / 6.0 * 12.0,
-                _ => unreachable!(),
+                other => panic!("unexpected unit kind {other:?}"),
             };
             assert!((r.area() - expect).abs() < 1e-9, "{kind:?}");
         }

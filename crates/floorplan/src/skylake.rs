@@ -141,11 +141,14 @@ impl SkylakeProxy {
 
     fn core_tree(&self) -> LayoutNode {
         let w = |k: UnitKind| -> f64 {
+            #[expect(
+                clippy::expect_used,
+                reason = "CORE_UNIT_WEIGHTS is a compile-time table covering every UnitKind the proxy emits"
+            )]
             let base = CORE_UNIT_WEIGHTS
                 .iter()
                 .find(|(kk, _)| *kk == k)
                 .map(|(_, wgt)| *wgt)
-                // hotgauge-lint: allow(L001, "CORE_UNIT_WEIGHTS is a compile-time table covering every UnitKind the proxy emits")
                 .expect("all core kinds have weights");
             let scale: f64 = self
                 .unit_scales

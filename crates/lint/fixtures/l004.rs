@@ -1,7 +1,7 @@
 // L004 fixture: concurrency policy. Linted under a synthetic
-// crates/<lib>/src path; never compiled.
+// crates/<lib>/src path; never compiled. Atomic orderings are not checked
+// here: rustc rejects an atomic call without one.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
@@ -13,40 +13,8 @@ pub struct BadShared {
     pub tx: Arc<Sender<u32>>, // line 13: fires (shared channel endpoint)
 }
 
-pub fn bad_ordering(hits: &AtomicU64) -> u64 {
-    hits.fetch_add(1) // line 17: fires (no Ordering argument)
-}
-
 pub fn ok_scoped() {
     std::thread::scope(|s| {
         s.spawn(|| {});
     });
-}
-
-pub struct Replay;
-
-impl Replay {
-    fn load(&self, _slot: usize) -> u64 {
-        0
-    }
-}
-
-pub fn ok_plain_load(r: &Replay) -> u64 {
-    r.load(3)
-}
-
-pub fn ok_ordering(hits: &AtomicU64) -> u64 {
-    hits.fetch_add(1, Ordering::Relaxed)
-}
-
-pub fn bad_cas(state: &AtomicU64) {
-    let _ = state.compare_exchange(0, 1, Ordering::AcqRel); // line 43: fires (failure ordering missing)
-}
-
-pub fn ok_cas(state: &AtomicU64) {
-    let _ = state.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire);
-}
-
-pub fn ok_fetch_update(state: &AtomicU64) {
-    let _ = state.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v + 1));
 }

@@ -1,18 +1,18 @@
-//! Token-stream lexer and brace-tree scope layer.
+//! Token-stream lexer and brace-tree scope layer: the one view of a source
+//! file that every rule reads.
 //!
-//! The v4 rule engine works on real tokens instead of masked-text substring
-//! scans: [`FileModel::build`] lexes a source file into a flat token stream
-//! (identifiers, numbers, lifetimes, joined punctuation, and literal/comment
-//! trivia, each with char-offset spans and line numbers) and then
+//! [`FileModel::build`] lexes a source file into a flat token stream
+//! (identifiers, numbers, lifetimes, joined punctuation, and literal and
+//! comment tokens, each with char-offset spans and line numbers) and then
 //! brace-matches the stream into a scope tree, classifying every `{...}`
 //! body as a function, loop, closure, `unsafe` block, `impl`, and so on.
-//! Rules ask "what encloses this token?" instead of guessing from line text.
-//!
-//! The lexer's literal and comment recognition is intentionally independent
-//! of [`scan`](crate::scan)'s masking pass: the two are differential-tested
-//! against each other (`tests/mask_lexer_agreement.rs`), so a bug in either
-//! literal scanner surfaces as an extent mismatch instead of a silent
-//! mis-lint.
+//! Rules ask "what encloses this token?" instead of guessing from line text,
+//! and code inside a string or comment can never match a rule pattern. The
+//! same pass marks the lines of `#[cfg(test)]` items and parses the
+//! `hotgauge-lint: allow(...)` pragmas from the line comments
+//! ([`pragma`](crate::pragma)).
+
+use crate::pragma::Grants;
 
 /// What a token is. Literal and comment kinds carry no interior structure —
 /// rules never look inside them, which is the point: code that lives in a
@@ -46,23 +46,9 @@ impl TokenKind {
     pub fn is_trivia(self) -> bool {
         matches!(self, TokenKind::LineComment | TokenKind::BlockComment)
     }
-
-    /// Kinds the masking pass blanks out; the agreement proptest compares
-    /// these extents against [`scan`](crate::scan)'s.
-    pub fn is_masked(self) -> bool {
-        matches!(
-            self,
-            TokenKind::Str
-                | TokenKind::RawStr
-                | TokenKind::Char
-                | TokenKind::LineComment
-                | TokenKind::BlockComment
-        )
-    }
 }
 
-/// One token with its span. Offsets are char indices into the source (the
-/// same coordinate system [`scan`](crate::scan)'s masker uses), `end`
+/// One token with its span. Offsets are char indices into the source, `end`
 /// exclusive.
 #[derive(Debug, Clone)]
 pub struct Token {
@@ -74,8 +60,8 @@ pub struct Token {
     pub end: usize,
     /// Zero-based line of `start`.
     pub line: usize,
-    /// The token's text. For `Str`/`RawStr` trivia this is the full literal
-    /// including delimiters; rules only use it for comments (`// SAFETY:`).
+    /// The token's text. For literals and comments this is the whole
+    /// literal or comment, delimiters included.
     pub text: String,
 }
 
@@ -142,20 +128,78 @@ pub struct FileModel {
     pub tokens: Vec<Token>,
     /// The scope tree; `scopes[0]` is the file root.
     pub scopes: Vec<Scope>,
+    /// Per line: true inside a `#[cfg(test)]`-gated item.
+    pub in_test: Vec<bool>,
+    /// The file's `hotgauge-lint: allow(...)` pragmas.
+    pub grants: Grants,
     /// Innermost scope index per token.
     scope_of: Vec<u32>,
 }
 
 impl FileModel {
-    /// Lex `src` and build its scope tree.
+    /// Lex `src`, build its scope tree, mark its test regions, and parse
+    /// its pragmas.
     pub fn build(src: &str) -> FileModel {
+        let n_lines = src.lines().count();
         let tokens = lex(src);
         let (scopes, scope_of) = build_scopes(&tokens);
-        FileModel {
+        let grants = Grants::parse(&tokens, n_lines);
+        let mut model = FileModel {
             tokens,
             scopes,
+            in_test: vec![false; n_lines],
+            grants,
             scope_of,
+        };
+        model.mark_test_regions();
+        model
+    }
+
+    /// Marks the lines of every `#[cfg(test)]`-gated item, from the
+    /// attribute through the item's closing brace. When a `;` comes before
+    /// any `{`, the item is brace-less (`mod tests;`, a `use`) and only the
+    /// attribute's line is marked.
+    fn mark_test_regions(&mut self) {
+        const ATTR: &[&str] = &["#", "[", "cfg", "(", "test", ")", "]"];
+        let last_line = self.in_test.len().saturating_sub(1);
+        let mut t = 0;
+        while t < self.tokens.len() {
+            if self.tokens[t].text != "#" || !self.matches_seq(t, ATTR) {
+                t += 1;
+                continue;
+            }
+            let first_line = self.tokens[t].line;
+            let mut after = t;
+            for _ in ATTR {
+                after = self.next_code(after).map_or(self.tokens.len(), |i| i + 1);
+            }
+            let open = (after..self.tokens.len())
+                .filter(|&i| !self.tokens[i].kind.is_trivia())
+                .find(|&i| matches!(self.tokens[i].text.as_str(), "{" | ";"))
+                .filter(|&i| self.tokens[i].text == "{");
+            let (end_line, next) = match open {
+                Some(open) => {
+                    let close = self.scopes[self.scope_of[open] as usize].close_tok;
+                    let end = self.tokens.get(close).map_or(last_line, |c| c.line);
+                    (end, close + 1)
+                }
+                None => (first_line, after),
+            };
+            for mark in self
+                .in_test
+                .iter_mut()
+                .take(end_line.min(last_line) + 1)
+                .skip(first_line)
+            {
+                *mark = true;
+            }
+            t = next;
         }
+    }
+
+    /// Is zero-based `line` inside a `#[cfg(test)]`-gated item?
+    pub(crate) fn line_in_test(&self, line: usize) -> bool {
+        self.in_test.get(line).copied().unwrap_or(false)
     }
 
     /// Innermost scope containing token `tok`.
@@ -237,10 +281,7 @@ const JOINED_PUNCT: &[&str] = &[
     "/=", "%=", "^=", "|=", "&=",
 ];
 
-/// Lex `src` into tokens. Literal/comment recognition mirrors the language
-/// rules the masker implements (same lifetime-vs-char disambiguation, same
-/// raw-string hash matching) but is written independently so the agreement
-/// proptest is a real differential test.
+/// Lex `src` into tokens.
 pub fn lex(src: &str) -> Vec<Token> {
     let chars: Vec<char> = src.chars().collect();
     let mut out: Vec<Token> = Vec::new();
@@ -474,8 +515,8 @@ fn lex_string(chars: &[char], i: &mut usize, line: &mut usize) {
 }
 
 /// Advance past a `'...'` char literal starting at the opening quote. A bare
-/// newline ends the token without being consumed (malformed literal), so
-/// line geometry is never disturbed.
+/// newline, or one right after a backslash, ends the token without being
+/// consumed (malformed literal), so later tokens keep their line numbers.
 fn lex_char(chars: &[char], i: &mut usize) {
     *i += 1; // opening quote
     while *i < chars.len() {

@@ -1,15 +1,18 @@
 //! `hotgauge-lint`: registry-free static analysis for the HotGauge workspace.
 //!
-//! Policy v4 runs two independent views of every source file: the masking
-//! scanner in [`scan`] (comments/strings blanked, geometry preserved) and a
-//! real token-stream lexer with a brace-tree scope layer in [`lex`] (no
-//! `syn`), differential-tested against each other. Rules L001–L006 and
-//! L008–L012 get tokens with spans and enclosing-scope kinds, emit
-//! `file:line` diagnostics with severities, and support text/JSON/SARIF
-//! output plus baseline diffing ([`report`]). The
-//! `// hotgauge-lint: allow(RULE, "justification")` pragma escape hatch is
-//! itself policed: a grant that suppresses nothing is an L012 finding.
-//! See DESIGN.md "Static analysis & code policy" for the rule catalogue.
+//! Policy v5 reads each source file once, into a token stream with a
+//! brace-tree scope layer ([`lex`], no `syn`), and every rule works on that
+//! one view. The rules are the domain rules nothing else can check
+//! (L002–L006, L008–L012): they get tokens with spans and enclosing-scope
+//! kinds, emit `file:line` diagnostics with severities, and support
+//! text/JSON/SARIF output plus baseline diffing ([`report`]). The checks
+//! the compiler can make (the panic policy, SAFETY comments on unsafe
+//! blocks, atomic orderings) are left to rustc and clippy through the
+//! workspace's `[workspace.lints]` table. The
+//! `// hotgauge-lint: allow(RULE, "justification")` pragma escape hatch
+//! ([`pragma`]) is itself policed: a grant that suppresses nothing is an
+//! L012 finding. See DESIGN.md "Static analysis & code policy" for the rule
+//! catalogue.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
@@ -21,16 +24,16 @@ use std::path::{Path, PathBuf};
 use serde::Serialize;
 
 pub mod lex;
+pub mod pragma;
 pub mod report;
 pub mod rules;
-pub mod scan;
 
 pub use rules::{severity_of, LabelUse, RuleInfo, Severity, RULES};
 
 /// Version of the policy the tool enforces; recorded in run manifests so
 /// sweep artifacts state what code policy they were built under. Bump on any
 /// rule addition, removal, or scope change.
-pub const POLICY_VERSION: &str = "4";
+pub const POLICY_VERSION: &str = "5";
 
 /// Number of policy rules (excludes the L000 malformed-pragma diagnostic).
 pub const RULE_COUNT: usize = RULES.len();
@@ -42,7 +45,7 @@ pub struct Diagnostic {
     pub file: String,
     /// One-based line number.
     pub line: usize,
-    /// Rule id (`L001`..`L012`, or `L000` for a malformed pragma).
+    /// Rule id (`L002`..`L012`, or `L000` for a malformed pragma).
     pub rule: String,
     /// Severity as a SARIF level string: `error`, `warning`, or `note`.
     pub severity: String,
@@ -75,7 +78,7 @@ impl fmt::Display for Diagnostic {
 /// Where a file sits in the workspace; decides which rules apply.
 #[derive(Debug, Clone, Default)]
 pub struct FileClass {
-    /// Under a library crate's `src/` (L001/L004 apply).
+    /// Under a library crate's `src/` (L004 applies).
     pub lib_crate: bool,
     /// Inside `crates/telemetry` (exempt from L002 — it *is* the facade).
     pub telemetry_crate: bool,
@@ -94,11 +97,12 @@ pub struct FileClass {
     pub kernel: bool,
     /// The `lib.rs` of a library crate (L008's forbid(unsafe_code) check).
     pub lib_crate_root: bool,
-    /// Whole file is test/bench/example context (L001/L003/L005 skip).
+    /// Whole file is test/bench/example context (L003, L005, L009–L011 skip).
     pub test_context: bool,
 }
 
-/// Library crates whose `src/` trees get the L001/L004 treatment.
+/// Library crates whose `src/` trees get the L004 treatment. The same ten
+/// crates opt into the workspace's clippy lints (`[lints] workspace = true`).
 const LIB_CRATES: &[&str] = &[
     "floorplan",
     "telemetry",
@@ -157,10 +161,9 @@ pub fn classify(rel: &str) -> FileClass {
 /// the one check that cannot fire here).
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     let class = classify(rel_path);
-    let scanned = scan::ScannedFile::scan(src);
     let model = lex::FileModel::build(src);
-    let mut diagnostics = rules::check_file(rel_path, &class, &scanned, &model);
-    diagnostics.extend(rules::check_unused_pragmas(rel_path, &scanned));
+    let mut diagnostics = rules::check_file(rel_path, &class, &model);
+    diagnostics.extend(rules::check_unused_pragmas(rel_path, &model));
     diagnostics.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule.as_str()).cmp(&(b.file.as_str(), b.line, b.rule.as_str()))
     });
@@ -256,37 +259,35 @@ fn relative_slash(root: &Path, path: &Path) -> Option<String> {
 /// Diagnostics come back sorted by (file, line, rule).
 pub fn run_lint(root: &Path) -> Result<Vec<Diagnostic>, LintError> {
     let mut diagnostics = Vec::new();
-    let mut scanned_files: Vec<(String, scan::ScannedFile)> = Vec::new();
+    let mut models: Vec<(String, lex::FileModel)> = Vec::new();
     for rel in discover_files(root)? {
         let full = root.join(&rel);
         let src = fs::read_to_string(&full).map_err(|e| LintError {
             path: full.clone(),
             message: e.to_string(),
         })?;
-        let class = classify(&rel);
-        let scanned = scan::ScannedFile::scan(&src);
         let model = lex::FileModel::build(&src);
-        diagnostics.extend(rules::check_file(&rel, &class, &scanned, &model));
-        scanned_files.push((rel, scanned));
+        diagnostics.extend(rules::check_file(&rel, &classify(&rel), &model));
+        models.push((rel, model));
     }
     // L006's duplicate half needs the whole workspace's labels at once.
-    let label_uses: Vec<(String, Vec<rules::LabelUse>)> = scanned_files
+    let label_uses: Vec<(String, Vec<rules::LabelUse>)> = models
         .iter()
-        .map(|(rel, scanned)| (rel.clone(), rules::extract_labels(scanned)))
+        .map(|(rel, model)| (rel.clone(), rules::extract_labels(model)))
         .collect();
     diagnostics.extend(rules::check_label_duplicates(&label_uses));
     // An allow(L006) grant on a label that *would* be a cross-crate
     // duplicate has done real work: mark it used so L012 leaves it alone.
     let dups = rules::duplicate_labels_including_allowed(&label_uses);
-    for ((_, scanned), (_, uses)) in scanned_files.iter().zip(&label_uses) {
+    for ((_, model), (_, uses)) in models.iter().zip(&label_uses) {
         for u in uses {
             if u.allowed && !u.in_test && dups.iter().any(|d| d == &u.label) {
-                scanned.allow(u.line, "L006");
+                model.grants.allow(u.line, "L006");
             }
         }
     }
-    for (rel, scanned) in &scanned_files {
-        diagnostics.extend(rules::check_unused_pragmas(rel, scanned));
+    for (rel, model) in &models {
+        diagnostics.extend(rules::check_unused_pragmas(rel, model));
     }
     diagnostics.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule.as_str()).cmp(&(b.file.as_str(), b.line, b.rule.as_str()))

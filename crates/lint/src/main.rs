@@ -15,7 +15,7 @@ use hotgauge_lint::{find_workspace_root, run_lint, POLICY_VERSION, RULES, RULE_C
 const USAGE: &str = "usage: hotgauge-lint [--root PATH] [--format text|json|sarif] [--json]
                      [--baseline FILE] [--write-baseline FILE] [--list-rules]
 
-Scans the HotGauge workspace sources and enforces policy v4 (L001..L012).
+Scans the HotGauge workspace sources and enforces policy v5 (L002..L012).
   --format sarif        emit a SARIF 2.1.0 log on stdout
   --format json         emit a JSON report (--json is an alias)
   --baseline FILE       grandfather the findings recorded in FILE; only

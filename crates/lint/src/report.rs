@@ -15,7 +15,6 @@
 
 use serde::Value;
 
-use crate::rules::severity_of;
 use crate::{Diagnostic, POLICY_VERSION, RULES};
 
 fn map(entries: Vec<(&str, Value)>) -> Value {
@@ -290,11 +289,6 @@ pub fn diff_against_baseline(diags: &[Diagnostic], base: &Baseline) -> BaselineD
     diff
 }
 
-/// Render `severity_of` text for a rule id, for the plain-text printer.
-pub fn level_of(rule: &str) -> &'static str {
-    severity_of(rule).as_str()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,8 +300,8 @@ mod tests {
     #[test]
     fn baseline_roundtrip_and_diff() {
         let diags = vec![
-            diag("a.rs", 3, "L001"),
-            diag("a.rs", 9, "L001"),
+            diag("a.rs", 3, "L003"),
+            diag("a.rs", 9, "L003"),
             diag("b.rs", 1, "L005"),
         ];
         let base = Baseline::from_diagnostics(&diags);
@@ -321,20 +315,20 @@ mod tests {
         assert!(diff.new.is_empty());
         assert!(diff.burned_down.is_empty());
 
-        // One extra L001 in a.rs: exactly the excess is new.
+        // One extra L003 in a.rs: exactly the excess is new.
         let mut more = diags.clone();
-        more.insert(2, diag("a.rs", 20, "L001"));
+        more.insert(2, diag("a.rs", 20, "L003"));
         let diff = diff_against_baseline(&more, &parsed);
         assert_eq!(diff.new.len(), 1);
         assert_eq!(diff.new[0].line, 20);
 
-        // One fewer L001: burn-down is reported, nothing is new.
-        let fewer = vec![diag("a.rs", 3, "L001"), diag("b.rs", 1, "L005")];
+        // One fewer L003: burn-down is reported, nothing is new.
+        let fewer = vec![diag("a.rs", 3, "L003"), diag("b.rs", 1, "L005")];
         let diff = diff_against_baseline(&fewer, &parsed);
         assert!(diff.new.is_empty());
         assert_eq!(
             diff.burned_down,
-            vec![("a.rs".to_string(), "L001".to_string(), 2, 1)]
+            vec![("a.rs".to_string(), "L003".to_string(), 2, 1)]
         );
     }
 

@@ -1,18 +1,15 @@
-//! The rule catalogue (policy v4: L001–L006, L008–L012) and the per-file
+//! The rule catalogue (policy v5: L002–L006, L008–L012) and the per-file
 //! rule driver.
 //!
-//! Rules operate on a [`ScannedFile`](crate::scan::ScannedFile) (masked
-//! text, pragmas, test regions) plus a [`FileModel`](crate::lex::FileModel)
-//! (token stream and brace-tree scopes) and a [`FileClass`] describing where
-//! the file sits in the workspace. The line-oriented rules (L002/L003/L005)
-//! match the masked source; the structural rules (L001, L004, L008–L011)
-//! walk real tokens and ask the scope tree what encloses them. Every rule
-//! checks for a violation *first* and only then consults
-//! [`ScannedFile::allow`], so pragma usage is tracked exactly and L012 can
-//! flag grants that suppress nothing.
+//! Every rule reads one [`FileModel`](crate::lex::FileModel) (token stream,
+//! brace-tree scopes, `#[cfg(test)]` lines, and pragma grants) and a
+//! [`FileClass`] describing where the file sits in the workspace. Rules
+//! match token sequences, never raw text, and ask the scope tree what
+//! encloses a token. Every rule checks for a violation *first* and only
+//! then consults [`Grants::allow`](crate::pragma::Grants::allow), so pragma
+//! usage is tracked exactly and L012 can flag grants that suppress nothing.
 
 use crate::lex::{FileModel, TokenKind};
-use crate::scan::ScannedFile;
 use crate::{Diagnostic, FileClass};
 
 /// Diagnostic severity, mapped straight onto SARIF `level`s.
@@ -42,7 +39,7 @@ impl Severity {
 /// `tool.driver.rules` array, and the docs.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Identifier, e.g. `L001`.
+    /// Identifier, e.g. `L002`.
     pub id: &'static str,
     /// One-line summary.
     pub summary: &'static str,
@@ -51,17 +48,11 @@ pub struct RuleInfo {
 }
 
 /// The rule catalogue. `L000` (malformed pragma) is a meta-diagnostic, not a
-/// policy rule, so it is not listed here. `L007` was the masked-text
-/// predecessor of L011 and is retired — granting it is an unknown-rule
-/// error, which is deliberate: stale grants must be re-justified under the
-/// token-aware rule, not silently carried over.
+/// policy rule, so it is not listed here. Retired ids are unknown rules, and
+/// granting one is an L000 error, so a stale grant is re-justified rather
+/// than silently carried over: `L007` was the masked-text predecessor of
+/// L011, and `L001` (the panic policy) is clippy's since v5 (DESIGN.md §8).
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "L001",
-        summary: "no unwrap()/expect()/panic!/unreachable!/todo!/unimplemented! in library crates \
-                  without a justified pragma",
-        severity: Severity::Error,
-    },
     RuleInfo {
         id: "L002",
         summary: "telemetry only via hotgauge-telemetry facade macros: no raw \
@@ -76,9 +67,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "L004",
-        summary: "concurrency policy: no std::thread::spawn in library crates, no Arc<Sender>, \
-                  atomics must name an Ordering explicitly (two for \
-                  fetch_update/compare_exchange)",
+        summary: "concurrency policy: no std::thread::spawn in library crates, no channel \
+                  endpoint behind Arc (Arc<Sender>)",
         severity: Severity::Error,
     },
     RuleInfo {
@@ -96,9 +86,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "L008",
-        summary: "unsafe hygiene: every unsafe block/impl needs a preceding // SAFETY: comment, \
-                  and every lib crate forbids unsafe_code (a deny downgrade needs a justified \
-                  pragma)",
+        summary: "unsafe hygiene: every lib crate root forbids unsafe_code (a deny downgrade \
+                  needs a justified pragma)",
         severity: Severity::Error,
     },
     RuleInfo {
@@ -138,25 +127,9 @@ pub fn severity_of(rule: &str) -> Severity {
         .unwrap_or(Severity::Error)
 }
 
-/// L005 quarantined literal spellings. Matched with numeric-token boundaries
-/// so `125.0`, `80.05`, `25e-3`, and `1e-30` do not fire.
+/// L005 quarantined literal spellings. Matched as whole number tokens, so
+/// `125.0`, `80.05`, `25e-3`, and `1e-30` do not fire.
 const L005_LITERALS: &[&str] = &["80.0", "25.0", "115.0", "60.0", "100e-6", "1e-3"];
-
-/// Atomic methods whose call must name an `Ordering` in its argument list.
-/// `fetch_update` and the `compare_exchange` family take *two* orderings
-/// (success and failure), and L004 requires both to be spelled.
-const L004_ATOMIC_METHODS: &[(&str, usize)] = &[
-    ("load", 1),
-    ("store", 1),
-    ("fetch_add", 1),
-    ("fetch_sub", 1),
-    ("fetch_and", 1),
-    ("fetch_or", 1),
-    ("fetch_xor", 1),
-    ("fetch_update", 2),
-    ("compare_exchange", 2),
-    ("compare_exchange_weak", 2),
-];
 
 /// Hash-container iteration methods L009 refuses in kernel crates. `get`,
 /// `insert`, `entry`, `contains_key` are keyed and deterministic, so they
@@ -187,21 +160,16 @@ const L010_COUNTER_SUFFIXES: &[&str] = &[
     "donated",
 ];
 
-/// Run every applicable rule over one scanned+lexed file. The L012
-/// unused-grant pass runs separately (after the cross-file label pass) via
+/// Run every applicable rule over one lexed file. The L012 unused-grant
+/// pass runs separately (after the cross-file label pass) via
 /// [`check_unused_pragmas`].
-pub fn check_file(
-    path: &str,
-    class: &FileClass,
-    scanned: &ScannedFile,
-    model: &FileModel,
-) -> Vec<Diagnostic> {
+pub fn check_file(path: &str, class: &FileClass, model: &FileModel) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
     // Malformed pragmas are always reported: a typo'd grant silently
     // reverting to "violation" would be confusing, and a typo'd rule name
     // silently granting nothing is worse.
-    for err in &scanned.pragma_errors {
+    for err in &model.grants.errors {
         out.push(Diagnostic::new(
             path,
             err.line + 1,
@@ -209,7 +177,7 @@ pub fn check_file(
             err.message.clone(),
         ));
     }
-    for pragma in &scanned.pragmas {
+    for pragma in &model.grants.pragmas {
         if pragma.rule != "L000" && !RULES.iter().any(|r| r.id == pragma.rule) {
             out.push(Diagnostic::new(
                 path,
@@ -221,29 +189,29 @@ pub fn check_file(
     }
 
     if class.lib_crate {
-        check_l001(path, class, scanned, model, &mut out);
-        check_l004_spawn_arc(path, class, scanned, &mut out);
-        check_l004_orderings(path, scanned, model, &mut out);
+        check_l004(path, model, &mut out);
     }
     if !class.telemetry_crate && !class.bench_crate {
-        check_l002(path, scanned, &mut out);
+        check_l002(path, model, &mut out);
     }
     if class.numeric {
-        check_l003(path, class, scanned, &mut out);
-        check_l005(path, class, scanned, &mut out);
-        check_l009(path, class, scanned, model, &mut out);
+        check_l003(path, class, model, &mut out);
+        check_l005(path, class, model, &mut out);
+        check_l009(path, class, model, &mut out);
     }
-    check_l008(path, class, scanned, model, &mut out);
-    check_l010(path, class, scanned, model, &mut out);
+    if class.lib_crate_root {
+        check_l008(path, model, &mut out);
+    }
+    check_l010(path, class, model, &mut out);
     if class.thermal_kernel && !class.test_context {
-        check_l011(path, scanned, model, &mut out);
+        check_l011(path, model, &mut out);
     }
 
     // L006 label format. The companion cross-crate duplicate check needs
     // every file's labels at once, so it runs in the workspace driver
     // (`run_lint`) via [`check_label_duplicates`].
-    for u in extract_labels(scanned) {
-        if !valid_label(&u.label) && !scanned.allow(u.line, "L006") {
+    for u in extract_labels(model) {
+        if !valid_label(&u.label) && !model.grants.allow(u.line, "L006") {
             out.push(Diagnostic::new(
                 path,
                 u.line + 1,
@@ -263,13 +231,13 @@ pub fn check_file(
 /// L012: every grant of a known rule must have suppressed at least one
 /// diagnostic by the time all rules (including the cross-file label pass)
 /// have run. Unknown-rule grants are already L000 errors and are skipped.
-pub fn check_unused_pragmas(path: &str, scanned: &ScannedFile) -> Vec<Diagnostic> {
+pub fn check_unused_pragmas(path: &str, model: &FileModel) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for pragma in &scanned.pragmas {
+    for pragma in &model.grants.pragmas {
         if !RULES.iter().any(|r| r.id == pragma.rule) {
             continue;
         }
-        if !pragma.used.get() && !scanned.allow(pragma.line, "L012") {
+        if !pragma.used.get() && !model.grants.allow(pragma.line, "L012") {
             out.push(Diagnostic::new(
                 path,
                 pragma.line + 1,
@@ -300,55 +268,44 @@ pub struct LabelUse {
     pub allowed: bool,
 }
 
-/// Extracts every `span!("...")` / `counter!("...", ...)` label from a
-/// scanned file. Invocations are located in the masked text (so prose and
-/// string literals never match); the label itself lives in a string literal,
-/// so it is read back out of the raw text at the same char offset (masking
-/// preserves geometry). Invocations whose first argument is not a string
-/// literal on the same or following line are skipped — the facade macros
-/// only accept literals, so such code would not compile anyway.
-pub fn extract_labels(scanned: &ScannedFile) -> Vec<LabelUse> {
-    let masked = scanned.masked_text();
-    let raw: Vec<char> = scanned.raw.join("\n").chars().collect();
+/// Extracts every `span!("...")` / `counter!("...", ...)` label of a file:
+/// a `span` or `counter` identifier, `!`, `(`, and a string literal as the
+/// first argument, wherever rustfmt wrapped it. Invocations whose first
+/// argument is not a string literal are skipped: the facade macros only
+/// accept literals, so such code would not compile anyway.
+pub fn extract_labels(model: &FileModel) -> Vec<LabelUse> {
     let mut out = Vec::new();
-    for (pat, kind) in [("span!(", "span"), ("counter!(", "counter")] {
-        let mut from = 0usize;
-        while let Some(rel) = masked[from..].find(pat) {
-            let at = from + rel;
-            from = at + pat.len();
-            if !left_boundary(&masked, at) {
-                continue;
-            }
-            let line = masked[..at].matches('\n').count();
-            // The label literal starts at the first quote after the open
-            // paren; a rustfmt-wrapped call puts it on the next line, so
-            // search a short raw-text window rather than just this line.
-            // Masking is char-for-char (a multi-byte prose char becomes one
-            // space), so the masked *char* count — not the byte offset —
-            // locates the same position in the raw text.
-            let search_start = masked[..at + pat.len()].chars().count();
-            let window: String = raw
-                .iter()
-                .skip(search_start.min(raw.len()))
-                .take(160)
-                .collect();
-            let Some(open_q) = window.find('"') else {
-                continue;
-            };
-            let rest = &window[open_q + 1..];
-            let Some(close_q) = rest.find('"') else {
-                continue;
-            };
-            out.push(LabelUse {
-                line,
-                kind,
-                label: rest[..close_q].to_string(),
-                in_test: scanned.in_test.get(line).copied().unwrap_or(false),
-                allowed: scanned.is_allowed(line, "L006"),
-            });
+    for (i, tok) in model.tokens.iter().enumerate() {
+        let kind = match tok.text.as_str() {
+            "span" => "span",
+            "counter" => "counter",
+            _ => continue,
+        };
+        if tok.kind != TokenKind::Ident || !model.matches_seq(i + 1, &["!", "("]) {
+            continue;
         }
+        let Some(open) = model.next_code(i + 1).and_then(|b| model.next_code(b + 1)) else {
+            continue;
+        };
+        let Some(lit) = model.next_code(open + 1).map(|l| &model.tokens[l]) else {
+            continue;
+        };
+        let Some(label) = lit
+            .text
+            .strip_prefix('"')
+            .and_then(|t| t.strip_suffix('"'))
+            .filter(|_| lit.kind == TokenKind::Str)
+        else {
+            continue;
+        };
+        out.push(LabelUse {
+            line: tok.line,
+            kind,
+            label: label.to_string(),
+            in_test: model.line_in_test(tok.line),
+            allowed: model.grants.is_allowed(tok.line, "L006"),
+        });
     }
-    out.sort_by_key(|u| u.line);
     out
 }
 
@@ -459,66 +416,37 @@ pub fn duplicate_labels_including_allowed(files: &[(String, Vec<LabelUse>)]) -> 
         .collect()
 }
 
-/// True when `ix` (a token index) sits in `#[cfg(test)]`-gated or
-/// test-context code.
-fn tok_in_test(class: &FileClass, scanned: &ScannedFile, line: usize) -> bool {
-    class.test_context || scanned.in_test.get(line).copied().unwrap_or(false)
+/// True when `line` sits in `#[cfg(test)]`-gated or test-context code.
+fn tok_in_test(class: &FileClass, model: &FileModel, line: usize) -> bool {
+    class.test_context || model.line_in_test(line)
 }
 
-/// L001, token-aware: `.unwrap(`/`.expect(` method calls (the leading-dot
-/// token pair rules out `unwrap_or_else` and `expect_err` by construction)
-/// and the panicking macro family.
-fn check_l001(
-    path: &str,
-    class: &FileClass,
-    scanned: &ScannedFile,
-    model: &FileModel,
-    out: &mut Vec<Diagnostic>,
-) {
-    const MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+/// Is the token before `i` a `.`, i.e. is `tokens[i]` a method name?
+fn after_dot(model: &FileModel, i: usize) -> bool {
+    model
+        .prev_code(i)
+        .is_some_and(|p| model.tokens[p].text == ".")
+}
+
+/// L002: `Instant::now` and a `cfg` on a line naming
+/// `feature = "telemetry"`, at most one finding of each per line.
+fn check_l002(path: &str, model: &FileModel, out: &mut Vec<Diagnostic>) {
+    let mut instant_line = None;
+    let mut cfg_line = None;
     for (i, tok) in model.tokens.iter().enumerate() {
         if tok.kind != TokenKind::Ident {
             continue;
         }
-        let label = match tok.text.as_str() {
-            "unwrap" | "expect"
-                if model
-                    .prev_code(i)
-                    .is_some_and(|p| model.tokens[p].text == ".")
-                    && model.matches_seq(i + 1, &["("]) =>
-            {
-                format!("{}()", tok.text)
-            }
-            m if MACROS.contains(&m) && model.matches_seq(i + 1, &["!", "("]) => {
-                format!("{m}!")
-            }
-            _ => continue,
-        };
-        if tok_in_test(class, scanned, tok.line) {
-            continue;
-        }
-        if !scanned.allow(tok.line, "L001") {
-            out.push(Diagnostic::new(
-                path,
-                tok.line + 1,
-                "L001",
-                format!(
-                    "{label} in a library crate: return a typed error or add \
-                     `// hotgauge-lint: allow(L001, \"<invariant>\")`"
-                ),
-            ));
-        }
-    }
-}
-
-fn check_l002(path: &str, scanned: &ScannedFile, out: &mut Vec<Diagnostic>) {
-    for (ix, masked) in scanned.masked.iter().enumerate() {
-        let raw = &scanned.raw[ix];
-        if let Some(at) = masked.find("Instant::now") {
-            if left_boundary(masked, at) && !scanned.allow(ix, "L002") {
+        let line = tok.line;
+        if tok.text == "Instant"
+            && instant_line != Some(line)
+            && model.matches_seq(i + 1, &["::", "now"])
+        {
+            instant_line = Some(line);
+            if !model.grants.allow(line, "L002") {
                 out.push(Diagnostic::new(
                     path,
-                    ix + 1,
+                    line + 1,
                     "L002",
                     "Instant::now() outside crates/telemetry: use the hotgauge-telemetry span!/\
                      counter! facade"
@@ -526,43 +454,23 @@ fn check_l002(path: &str, scanned: &ScannedFile, out: &mut Vec<Diagnostic>) {
                 ));
             }
         }
-        // The feature name itself is a string literal, so it lives in the raw
-        // line; the `cfg` must be code, so it must survive in the masked line.
-        if raw.contains("feature = \"telemetry\"")
-            && masked.contains("cfg")
-            && !scanned.allow(ix, "L002")
+        // `feature = "telemetry"` with a `cfg`/`cfg_attr` on the same line.
+        if tok.text == "feature"
+            && cfg_line != Some(line)
+            && model.matches_seq(i + 1, &["=", "\"telemetry\""])
+            && model
+                .tokens
+                .iter()
+                .any(|t| t.line == line && t.kind == TokenKind::Ident && t.text.contains("cfg"))
         {
-            out.push(Diagnostic::new(
-                path,
-                ix + 1,
-                "L002",
-                "raw #[cfg(feature = \"telemetry\")] outside crates/telemetry: use the \
-                 if_telemetry!/span!/counter! facade macros"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-fn check_l003(path: &str, class: &FileClass, scanned: &ScannedFile, out: &mut Vec<Diagnostic>) {
-    for (ix, masked) in scanned.masked.iter().enumerate() {
-        if tok_in_test(class, scanned, ix) {
-            continue;
-        }
-        let mut from = 0usize;
-        while let Some(rel) = masked[from..].find("f32") {
-            let at = from + rel;
-            from = at + 3;
-            if !left_boundary(masked, at) || !right_boundary(masked, at + 3) {
-                continue;
-            }
-            if !scanned.allow(ix, "L003") {
+            cfg_line = Some(line);
+            if !model.grants.allow(line, "L002") {
                 out.push(Diagnostic::new(
                     path,
-                    ix + 1,
-                    "L003",
-                    "f32 in a numeric kernel crate: thermal/analysis kernels are f64-only to \
-                     keep the fused/naive parity proptests bitwise"
+                    line + 1,
+                    "L002",
+                    "raw #[cfg(feature = \"telemetry\")] outside crates/telemetry: use the \
+                     if_telemetry!/span!/counter! facade macros"
                         .to_string(),
                 ));
             }
@@ -570,115 +478,69 @@ fn check_l003(path: &str, class: &FileClass, scanned: &ScannedFile, out: &mut Ve
     }
 }
 
-fn check_l004_spawn_arc(
-    path: &str,
-    _class: &FileClass,
-    scanned: &ScannedFile,
-    out: &mut Vec<Diagnostic>,
-) {
-    for (ix, masked) in scanned.masked.iter().enumerate() {
-        if masked.contains("thread::spawn") && !scanned.allow(ix, "L004") {
-            out.push(Diagnostic::new(
-                path,
-                ix + 1,
-                "L004",
-                "std::thread::spawn in a library crate: use std::thread::scope or the pipeline \
-                 channel so joins are structural"
-                    .to_string(),
-            ));
-        }
-        let squeezed: String = masked.chars().filter(|c| !c.is_whitespace()).collect();
-        if (squeezed.contains("Arc<Sender")
-            || squeezed.contains("Arc<SyncSender")
-            || squeezed.contains("Arc<mpsc::"))
-            && !scanned.allow(ix, "L004")
+/// L003: every `f32` identifier outside test code.
+fn check_l003(path: &str, class: &FileClass, model: &FileModel, out: &mut Vec<Diagnostic>) {
+    for tok in &model.tokens {
+        if tok.kind != TokenKind::Ident || tok.text != "f32" || tok_in_test(class, model, tok.line)
         {
+            continue;
+        }
+        if !model.grants.allow(tok.line, "L003") {
             out.push(Diagnostic::new(
                 path,
-                ix + 1,
-                "L004",
-                "channel endpoint behind Arc: senders must be moved/cloned into scopes, never \
-                 shared through Arc"
+                tok.line + 1,
+                "L003",
+                "f32 in a numeric kernel crate: thermal/analysis kernels are f64-only to \
+                 keep the fused/naive parity proptests bitwise"
                     .to_string(),
             ));
         }
     }
 }
 
-/// Atomic calls must name their `Ordering`s inside the argument list —
-/// one for plain loads/stores/RMWs, *two* for `fetch_update` and the
-/// `compare_exchange` family (success and failure orderings). Token-aware:
-/// the argument span is the paren-balanced token range, so rustfmt-wrapped
-/// calls match across lines.
-fn check_l004_orderings(
-    path: &str,
-    scanned: &ScannedFile,
-    model: &FileModel,
-    out: &mut Vec<Diagnostic>,
-) {
+/// L004: `thread::spawn` and a channel endpoint behind `Arc`, at most one
+/// finding of each per line.
+fn check_l004(path: &str, model: &FileModel, out: &mut Vec<Diagnostic>) {
+    let mut spawn_line = None;
+    let mut arc_line = None;
     for (i, tok) in model.tokens.iter().enumerate() {
         if tok.kind != TokenKind::Ident {
             continue;
         }
-        let Some(&(_, required)) = L004_ATOMIC_METHODS
-            .iter()
-            .find(|(m, _)| *m == tok.text.as_str())
-        else {
-            continue;
-        };
-        // Must be a method call: `.name(` with a real receiver.
-        if model
-            .prev_code(i)
-            .is_none_or(|p| model.tokens[p].text != ".")
+        let line = tok.line;
+        if tok.text == "thread"
+            && spawn_line != Some(line)
+            && model.matches_seq(i + 1, &["::", "spawn"])
         {
-            continue;
-        }
-        let Some(open) = model
-            .next_code(i + 1)
-            .filter(|&p| model.tokens[p].text == "(")
-        else {
-            continue;
-        };
-        let Some(args) = paren_token_span(model, open) else {
-            continue;
-        };
-        let orderings = count_orderings(model, args.clone());
-        if orderings >= required {
-            continue;
-        }
-        // `.load()`/`.store(x)` also exist on non-atomics (Cell, Vec
-        // element swaps). The fetch_*/compare_exchange* names only exist on
-        // atomics; for the ambiguous two, require the receiver chain to
-        // look atomic-ish before flagging.
-        let ambiguous = matches!(tok.text.as_str(), "load" | "store");
-        if ambiguous {
-            let empty_args = model
-                .tokens
-                .get(args.start..args.end)
-                .is_none_or(|ts| ts.iter().all(|t| t.kind.is_trivia()));
-            if tok.text == "load" && empty_args {
-                // `.load()` with no args is never an atomic load.
-                continue;
-            }
-            let recv_start = i.saturating_sub(8);
-            let atomicish = model.tokens[recv_start..i]
-                .iter()
-                .any(|t| t.text.to_ascii_lowercase().contains("atomic"));
-            if !atomicish {
-                continue;
+            spawn_line = Some(line);
+            if !model.grants.allow(line, "L004") {
+                out.push(Diagnostic::new(
+                    path,
+                    line + 1,
+                    "L004",
+                    "std::thread::spawn in a library crate: use std::thread::scope or the \
+                     pipeline channel so joins are structural"
+                        .to_string(),
+                ));
             }
         }
-        if !scanned.allow(tok.line, "L004") {
-            out.push(Diagnostic::new(
-                path,
-                tok.line + 1,
-                "L004",
-                format!(
-                    "atomic `{}(...)` names {orderings} Ordering:: argument(s); {required} \
-                     required (success and failure orderings must both be explicit)",
-                    tok.text
-                ),
-            ));
+        if tok.text == "Arc"
+            && arc_line != Some(line)
+            && (model.matches_seq(i + 1, &["<", "Sender"])
+                || model.matches_seq(i + 1, &["<", "SyncSender"])
+                || model.matches_seq(i + 1, &["<", "mpsc", "::"]))
+        {
+            arc_line = Some(line);
+            if !model.grants.allow(line, "L004") {
+                out.push(Diagnostic::new(
+                    path,
+                    line + 1,
+                    "L004",
+                    "channel endpoint behind Arc: senders must be moved/cloned into scopes, \
+                     never shared through Arc"
+                        .to_string(),
+                ));
+            }
         }
     }
 }
@@ -713,115 +575,85 @@ fn paren_token_span(model: &FileModel, open: usize) -> Option<std::ops::Range<us
     None
 }
 
-fn check_l005(path: &str, class: &FileClass, scanned: &ScannedFile, out: &mut Vec<Diagnostic>) {
+/// L005: every quarantined number token outside test code and outside
+/// lines that declare a `const`.
+fn check_l005(path: &str, class: &FileClass, model: &FileModel, out: &mut Vec<Diagnostic>) {
     if class.units_exempt {
         return;
     }
-    for (ix, masked) in scanned.masked.iter().enumerate() {
-        if tok_in_test(class, scanned, ix) {
-            continue;
-        }
-        // `const` declarations are exactly where these literals belong.
-        if masked.contains("const ") {
-            continue;
-        }
-        for lit in L005_LITERALS {
-            let mut from = 0usize;
-            while let Some(rel) = masked[from..].find(lit) {
-                let at = from + rel;
-                from = at + lit.len();
-                if !numeric_boundary(masked, at, at + lit.len()) {
-                    continue;
-                }
-                if !scanned.allow(ix, "L005") {
-                    out.push(Diagnostic::new(
-                        path,
-                        ix + 1,
-                        "L005",
-                        format!(
-                            "raw temperature/length literal `{lit}`: use a named constant or \
-                             the hotgauge_core::units newtypes (Celsius/Microns)"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// L008 part 1: every `unsafe {` block and `unsafe impl` must be preceded
-/// by a `// SAFETY:` comment (attribute lines and blank lines may sit
-/// between). Part 2: a lib crate's `lib.rs` must carry
-/// `#![forbid(unsafe_code)]`; a `deny(unsafe_code)` downgrade is accepted
-/// only under a justified `allow(L008, ...)` pragma on the attribute line.
-fn check_l008(
-    path: &str,
-    class: &FileClass,
-    scanned: &ScannedFile,
-    model: &FileModel,
-    out: &mut Vec<Diagnostic>,
-) {
+    // `const` declarations are exactly where these literals belong.
+    let const_line = |line: usize| {
+        model
+            .tokens
+            .iter()
+            .any(|t| t.line == line && t.kind == TokenKind::Ident && t.text == "const")
+    };
+    // A `.` touching the number makes it a range bound (`2.0..60.0`) or a
+    // receiver (`80.0.max(t)`), which the rule has never policed.
+    let dot_touches = |i: usize| {
+        let tok = &model.tokens[i];
+        i.checked_sub(1)
+            .map(|p| &model.tokens[p])
+            .is_some_and(|p| p.end == tok.start && p.text.ends_with('.'))
+            || model
+                .tokens
+                .get(i + 1)
+                .is_some_and(|n| n.start == tok.end && n.text.starts_with('.'))
+    };
     for (i, tok) in model.tokens.iter().enumerate() {
-        if tok.kind != TokenKind::Ident || tok.text != "unsafe" {
+        if tok.kind != TokenKind::Number || !L005_LITERALS.contains(&tok.text.as_str()) {
             continue;
         }
-        let Some(next) = model.next_code(i + 1) else {
-            continue;
-        };
-        let what = match model.tokens[next].text.as_str() {
-            "{" => "unsafe block",
-            "impl" => "unsafe impl",
-            // `unsafe fn` declarations (trait-required) document safety on
-            // the trait; the *bodies'* unsafe operations are what need
-            // justification, and those sit inside an unsafe fn context.
-            _ => continue,
-        };
-        if has_preceding_safety_comment(scanned, model, tok.line) {
+        if dot_touches(i) || tok_in_test(class, model, tok.line) || const_line(tok.line) {
             continue;
         }
-        if !scanned.allow(tok.line, "L008") {
+        if !model.grants.allow(tok.line, "L005") {
             out.push(Diagnostic::new(
                 path,
                 tok.line + 1,
-                "L008",
+                "L005",
                 format!(
-                    "{what} without a preceding `// SAFETY:` comment stating the invariant \
-                     that makes it sound"
+                    "raw temperature/length literal `{}`: use a named constant or the \
+                     hotgauge_core::units newtypes (Celsius/Microns)",
+                    tok.text
                 ),
             ));
         }
     }
+}
 
-    if class.lib_crate_root {
-        let has_forbid = find_unsafe_attr(model, "forbid");
-        let deny_line = find_unsafe_attr_line(model, "deny");
-        if has_forbid.is_none() {
-            match deny_line {
-                Some(line) => {
-                    if !scanned.allow(line, "L008") {
-                        out.push(Diagnostic::new(
-                            path,
-                            line + 1,
-                            "L008",
-                            "deny(unsafe_code) downgrade in a lib crate root: add \
-                             `// hotgauge-lint: allow(L008, \"<which block and why>\")` \
-                             naming the sanctioned unsafe site"
-                                .to_string(),
-                        ));
-                    }
-                }
-                None => {
-                    if !scanned.allow(0, "L008") {
-                        out.push(Diagnostic::new(
-                            path,
-                            1,
-                            "L008",
-                            "lib crate root missing #![forbid(unsafe_code)] (or a justified \
-                             deny(unsafe_code) downgrade)"
-                                .to_string(),
-                        ));
-                    }
-                }
+/// L008: a lib crate's `lib.rs` must carry `#![forbid(unsafe_code)]`; a
+/// `deny(unsafe_code)` downgrade is accepted only under a justified
+/// `allow(L008, ...)` pragma on the attribute line. (Whether each unsafe
+/// block states its invariant is clippy's `undocumented_unsafe_blocks`.)
+fn check_l008(path: &str, model: &FileModel, out: &mut Vec<Diagnostic>) {
+    if find_unsafe_attr(model, "forbid").is_some() {
+        return;
+    }
+    match find_unsafe_attr(model, "deny").map(|i| model.tokens[i].line) {
+        Some(line) => {
+            if !model.grants.allow(line, "L008") {
+                out.push(Diagnostic::new(
+                    path,
+                    line + 1,
+                    "L008",
+                    "deny(unsafe_code) downgrade in a lib crate root: add \
+                     `// hotgauge-lint: allow(L008, \"<which block and why>\")` \
+                     naming the sanctioned unsafe site"
+                        .to_string(),
+                ));
+            }
+        }
+        None => {
+            if !model.grants.allow(0, "L008") {
+                out.push(Diagnostic::new(
+                    path,
+                    1,
+                    "L008",
+                    "lib crate root missing #![forbid(unsafe_code)] (or a justified \
+                     deny(unsafe_code) downgrade)"
+                        .to_string(),
+                ));
             }
         }
     }
@@ -837,66 +669,21 @@ fn find_unsafe_attr(model: &FileModel, level: &str) -> Option<usize> {
     })
 }
 
-fn find_unsafe_attr_line(model: &FileModel, level: &str) -> Option<usize> {
-    find_unsafe_attr(model, level).map(|i| model.tokens[i].line)
-}
-
-/// Walk upward from the line above `line` through the contiguous run of
-/// blank, comment, and attribute lines; true if any comment in that run
-/// (or a comment ending on `line` itself, for multi-line block comments)
-/// contains `SAFETY:`.
-fn has_preceding_safety_comment(scanned: &ScannedFile, model: &FileModel, line: usize) -> bool {
-    // Comment lines by start line, with their text.
-    let safety_on_line = |l: usize| {
-        model
-            .tokens
-            .iter()
-            .any(|t| t.kind.is_trivia() && t.line == l && t.text.contains("SAFETY:"))
-    };
-    let comment_on_line = |l: usize| {
-        model
-            .tokens
-            .iter()
-            .any(|t| t.kind.is_trivia() && t.line == l)
-    };
-    let mut l = line;
-    while l > 0 {
-        l -= 1;
-        if safety_on_line(l) {
-            return true;
-        }
-        let masked = scanned.masked.get(l).map(|s| s.trim()).unwrap_or("");
-        let is_attr = masked.starts_with('#');
-        let is_blank_or_comment = masked.is_empty();
-        if is_attr || is_blank_or_comment || comment_on_line(l) {
-            continue;
-        }
-        return false;
-    }
-    false
-}
-
 /// L009: hash-container iteration in numeric kernel crates. Identifiers
 /// bound or typed as `HashMap`/`HashSet` in this file are tracked; calling
 /// an iteration-order method on one, or iterating one in a `for` header,
 /// injects nondeterministic order into code whose outputs are pinned
 /// bitwise. Keyed access (`get`/`insert`/`entry`) is fine.
-fn check_l009(
-    path: &str,
-    class: &FileClass,
-    scanned: &ScannedFile,
-    model: &FileModel,
-    out: &mut Vec<Diagnostic>,
-) {
+fn check_l009(path: &str, class: &FileClass, model: &FileModel, out: &mut Vec<Diagnostic>) {
     let names = hash_bound_names(model);
     if names.is_empty() {
         return;
     }
     let flag = |line: usize, msg: String, out: &mut Vec<Diagnostic>| {
-        if tok_in_test(class, scanned, line) {
+        if tok_in_test(class, model, line) {
             return;
         }
-        if !scanned.allow(line, "L009") {
+        if !model.grants.allow(line, "L009") {
             out.push(Diagnostic::new(path, line + 1, "L009", msg));
         }
     };
@@ -1074,25 +861,19 @@ fn is_keyword(text: &str) -> bool {
 /// (`*_count`, `dropped`, `completed`, ...) must use `Relaxed` — they are
 /// telemetry tallies, not synchronization. And in kernel modules, no
 /// `.lock()` acquisition inside a loop body: hoist the guard or restructure.
-fn check_l010(
-    path: &str,
-    class: &FileClass,
-    scanned: &ScannedFile,
-    model: &FileModel,
-    out: &mut Vec<Diagnostic>,
-) {
+fn check_l010(path: &str, class: &FileClass, model: &FileModel, out: &mut Vec<Diagnostic>) {
     for (i, tok) in model.tokens.iter().enumerate() {
         if tok.kind != TokenKind::Ident {
             continue;
         }
-        let in_test = tok_in_test(class, scanned, tok.line);
+        let in_test = tok_in_test(class, model, tok.line);
         match tok.text.as_str() {
             "SeqCst"
                 if model
                     .prev_code(i)
                     .is_some_and(|p| model.tokens[p].text == "::")
                     && !in_test
-                    && !scanned.allow(tok.line, "L010") =>
+                    && !model.grants.allow(tok.line, "L010") =>
             {
                 out.push(Diagnostic::new(
                     path,
@@ -1126,10 +907,10 @@ fn check_l010(
                 let relaxed = args.clone().any(|k| model.tokens[k].text == "Relaxed");
                 let names_ordering = count_orderings(model, args) > 0 || relaxed;
                 if relaxed || !names_ordering {
-                    // No Ordering at all is L004's finding, not ours.
+                    // rustc rejects an atomic call without its Ordering.
                     continue;
                 }
-                if !scanned.allow(tok.line, "L010") {
+                if !model.grants.allow(tok.line, "L010") {
                     out.push(Diagnostic::new(
                         path,
                         tok.line + 1,
@@ -1145,12 +926,10 @@ fn check_l010(
             "lock"
                 if class.kernel
                     && !in_test
-                    && model
-                        .prev_code(i)
-                        .is_some_and(|p| model.tokens[p].text == ".")
+                    && after_dot(model, i)
                     && model.matches_seq(i + 1, &["(", ")"])
                     && model.in_loop(i)
-                    && !scanned.allow(tok.line, "L010") =>
+                    && !model.grants.allow(tok.line, "L010") =>
             {
                 out.push(Diagnostic::new(
                     path,
@@ -1177,7 +956,7 @@ fn counterish(name: &str) -> bool {
 /// closure (per-row callbacks price like loop bodies). The old masked-text
 /// L007 only saw `for` bodies and could mis-scope matches inside strings a
 /// line-based tracker had already lost; the scope tree sees neither.
-fn check_l011(path: &str, scanned: &ScannedFile, model: &FileModel, out: &mut Vec<Diagnostic>) {
+fn check_l011(path: &str, model: &FileModel, out: &mut Vec<Diagnostic>) {
     for (i, tok) in model.tokens.iter().enumerate() {
         if tok.kind != TokenKind::Ident {
             continue;
@@ -1185,23 +964,16 @@ fn check_l011(path: &str, scanned: &ScannedFile, model: &FileModel, out: &mut Ve
         let label = match tok.text.as_str() {
             "Vec" if model.matches_seq(i + 1, &["::", "new", "("]) => "Vec::new()",
             "vec" if model.matches_seq(i + 1, &["!", "["]) => "vec![...]",
-            "collect"
-                if model
-                    .prev_code(i)
-                    .is_some_and(|p| model.tokens[p].text == ".")
-                    && model.matches_seq(i + 1, &["("]) =>
-            {
-                ".collect()"
-            }
+            "collect" if after_dot(model, i) && model.matches_seq(i + 1, &["("]) => ".collect()",
             _ => continue,
         };
         if !model.in_loop_or_closure(i) {
             continue;
         }
-        if scanned.in_test.get(tok.line).copied().unwrap_or(false) {
+        if model.line_in_test(tok.line) {
             continue;
         }
-        if !scanned.allow(tok.line, "L011") {
+        if !model.grants.allow(tok.line, "L011") {
             out.push(Diagnostic::new(
                 path,
                 tok.line + 1,
@@ -1214,40 +986,6 @@ fn check_l011(path: &str, scanned: &ScannedFile, model: &FileModel, out: &mut Ve
             ));
         }
     }
-}
-
-/// True if the char before `at` cannot extend an identifier/number leftward.
-fn left_boundary(s: &str, at: usize) -> bool {
-    s[..at]
-        .chars()
-        .next_back()
-        .map(|c| !c.is_alphanumeric() && c != '_')
-        .unwrap_or(true)
-}
-
-/// True if the char at `end` cannot extend an identifier/number rightward.
-fn right_boundary(s: &str, end: usize) -> bool {
-    s[end..]
-        .chars()
-        .next()
-        .map(|c| !c.is_alphanumeric() && c != '_')
-        .unwrap_or(true)
-}
-
-/// Numeric-token boundaries: neither side may continue the number (digits,
-/// ident chars, `.`), so `125.0`, `80.05`, `25e-3`, `1e-30` don't match.
-fn numeric_boundary(s: &str, start: usize, end: usize) -> bool {
-    let left_ok = s[..start]
-        .chars()
-        .next_back()
-        .map(|c| !c.is_alphanumeric() && c != '_' && c != '.')
-        .unwrap_or(true);
-    let right_ok = s[end..]
-        .chars()
-        .next()
-        .map(|c| !c.is_alphanumeric() && c != '_' && c != '.')
-        .unwrap_or(true);
-    left_ok && right_ok
 }
 
 #[cfg(test)]
@@ -1266,7 +1004,7 @@ mod tests {
 
     #[test]
     fn severity_strings() {
-        assert_eq!(severity_of("L001").as_str(), "error");
+        assert_eq!(severity_of("L003").as_str(), "error");
         assert_eq!(severity_of("L012").as_str(), "note");
         // Unknown ids (incl. the L000 meta-diagnostic) are errors.
         assert_eq!(severity_of("L000").as_str(), "error");

@@ -2,6 +2,11 @@
 //! list exactly the same rules — `--list-rules` is generated from `RULES`,
 //! so this holds the docs and the tool to each other.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test helper: a missing DESIGN.md fails the test that reads it"
+)]
+
 use hotgauge_lint::{find_workspace_root, Severity, POLICY_VERSION, RULES};
 
 fn design_md() -> String {

@@ -1,5 +1,10 @@
 //! Unit tests for the token-stream lexer and brace-tree scope layer.
 
+#![expect(
+    clippy::panic,
+    reason = "a test helper: a missing token fails the test that asked for it"
+)]
+
 use hotgauge_lint::lex::{lex, FileModel, ScopeKind, TokenKind};
 
 fn kinds(src: &str) -> Vec<(TokenKind, String)> {
@@ -9,7 +14,12 @@ fn kinds(src: &str) -> Vec<(TokenKind, String)> {
 fn code_texts(src: &str) -> Vec<String> {
     lex(src)
         .into_iter()
-        .filter(|t| !t.kind.is_trivia() && !t.kind.is_masked())
+        .filter(|t| {
+            matches!(
+                t.kind,
+                TokenKind::Ident | TokenKind::Lifetime | TokenKind::Number | TokenKind::Punct
+            )
+        })
         .map(|t| t.text)
         .collect()
 }
@@ -159,4 +169,39 @@ fn spans_are_char_offsets() {
         assert!(w[0].end <= w[1].start);
         assert!(w[0].start < w[0].end);
     }
+}
+
+#[test]
+fn byte_and_raw_byte_strings_are_single_tokens() {
+    let src = "let a = b\"panic!(x)\"; let b2 = br#\"todo!()\"#;\n";
+    let toks = kinds(src);
+    assert!(toks
+        .iter()
+        .any(|(k, t)| *k == TokenKind::Str && t == "b\"panic!(x)\""));
+    assert!(toks
+        .iter()
+        .any(|(k, t)| *k == TokenKind::RawStr && t == "br#\"todo!()\"#"));
+    assert_eq!(
+        code_texts(src),
+        ["let", "a", "=", ";", "let", "b2", "=", ";"]
+    );
+}
+
+#[test]
+fn multiline_strings_keep_later_line_numbers() {
+    let src = "let s = \"line one\n  panic!(\\\"no\\\")\n\";\nx.unwrap();\n";
+    assert!(!code_texts(src).iter().any(|t| t == "panic"));
+    let toks = lex(src);
+    let x = toks.iter().find(|t| t.text == "x").unwrap();
+    assert_eq!(x.line, 3);
+}
+
+#[test]
+fn escaped_newline_in_char_position_keeps_line_numbers() {
+    // `'\` at the end of a line is not a char literal; eating the newline
+    // into it would shift every later token's line.
+    let src = "let a = '\\\nx';\nb.unwrap();\n";
+    let toks = lex(src);
+    let b = toks.iter().find(|t| t.text == "b").unwrap();
+    assert_eq!(b.line, 2, "line 3 keeps its number");
 }

@@ -1,6 +1,6 @@
-//! Self-test: the workspace must be clean under its own policy. CI runs the
-//! test suite in both feature configurations, so this covers the default and
-//! `--features telemetry` source trees alike.
+//! Self-test: the workspace must be clean under its own policy. The lint
+//! reads source text and has no cfg-dependent code, so one run covers the
+//! default and `--features telemetry` source trees alike.
 
 use std::path::Path;
 

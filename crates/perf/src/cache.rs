@@ -79,9 +79,12 @@ impl Cache {
         {
             let line = addr >> self.line_shift;
             let base = ((line as usize) & (self.sets - 1)) * self.cfg.ways;
+            #[expect(
+                unsafe_code,
+                reason = "the crate root denies unsafe code; this prefetch hint is its one sanctioned block"
+            )]
             // SAFETY: the set mask keeps `base` inside `tags`, and a
             // prefetch hint reads no memory and raises no faults.
-            #[allow(unsafe_code)]
             unsafe {
                 core::arch::x86_64::_mm_prefetch(
                     self.tags.as_ptr().add(base) as *const i8,

@@ -30,7 +30,7 @@
 
 // Prefetch hints in the cache model are the one sanctioned use of `unsafe`
 // (see `cache::Cache::prefetch_set`); everything else must stay safe, so
-// deny-with-local-allow rather than forbid.
+// deny with a local `#[expect(unsafe_code)]` rather than forbid.
 // hotgauge-lint: allow(L008, "cache::Cache::prefetch_set carries the sole SAFETY-commented unsafe block; deny + local allow keeps it pinned")
 #![deny(unsafe_code)]
 #![warn(missing_debug_implementations)]

@@ -76,7 +76,7 @@ mod tests {
             match s.next_instr().class {
                 InstrClass::IntSimple => int_count += 1,
                 InstrClass::FpScalar => fp_count += 1,
-                _ => unreachable!(),
+                other => panic!("unexpected instruction class {other:?}"),
             }
         }
         assert_eq!(int_count, 50);

@@ -50,7 +50,10 @@ fn note_alloc(bytes: usize) {
     let _ = THREAD_ALLOC_BYTES.try_with(|c| c.set(c.get().wrapping_add(bytes as u64)));
 }
 
-#[allow(unsafe_code)]
+#[expect(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait; the telemetry build denies unsafe code everywhere else"
+)]
 // SAFETY: every method delegates to `System` with the caller's exact layout
 // and pointer; the wrapper only observes sizes, never changes behavior.
 unsafe impl GlobalAlloc for CountingAllocator {

@@ -58,15 +58,16 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// An empty histogram (one heap allocation of `BUCKETS * 8` bytes).
+    #[expect(
+        clippy::unreachable,
+        reason = "length is the compile-time BUCKETS constant, conversion cannot fail"
+    )]
     pub fn new() -> Self {
         Self {
             counts: vec![0u64; BUCKETS]
                 .into_boxed_slice()
                 .try_into()
-                .unwrap_or_else(|_| {
-                    // hotgauge-lint: allow(L001, "length is the compile-time BUCKETS constant, conversion cannot fail")
-                    unreachable!("boxed slice has BUCKETS elements")
-                }),
+                .unwrap_or_else(|_| unreachable!("boxed slice has BUCKETS elements")),
             count: 0,
             min: u64::MAX,
             max: 0,

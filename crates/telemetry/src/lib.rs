@@ -219,10 +219,10 @@ mod recorder {
                 .filter(|&n| n >= 1)
                 .unwrap_or(CHANNEL_DEPTH);
             let (tx, rx) = sync_channel(depth);
+            #[expect(clippy::expect_used, reason = "spawn failure at process start means the OS is out of threads; there is no meaningful degraded mode for the aggregator")]
             std::thread::Builder::new()
                 .name("hotgauge-telemetry".into())
                 .spawn(move || aggregate(rx))
-                // hotgauge-lint: allow(L001, "spawn failure at process start means the OS is out of threads; there is no meaningful degraded mode for the aggregator")
                 .expect("failed to spawn telemetry aggregator thread");
             Recorder {
                 tx,

@@ -825,7 +825,10 @@ fn pseudo_peripheral(a: &CsrMatrix, seed: usize) -> usize {
                 }
             }
         }
-        // hotgauge-lint: allow(L001, "the BFS queue is seeded with the root before the loop, so it is never empty here")
+        #[expect(
+            clippy::unwrap_used,
+            reason = "the BFS queue is seeded with the root before the loop, so it is never empty here"
+        )]
         let depth = level[*queue.last().unwrap() as usize] as usize;
         if depth <= depth_prev {
             break;

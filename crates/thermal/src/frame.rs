@@ -71,14 +71,16 @@ impl ThermalFrame {
     }
 
     /// Index of the hottest cell.
+    #[expect(
+        clippy::expect_used,
+        reason = "solver output is finite (convergence-checked); NaN here means the solve already failed loudly. ThermalFrame::new asserts a non-empty grid, so the maximum always exists"
+    )]
     pub fn argmax(&self) -> usize {
         self.temps
             .iter()
             .enumerate()
-            // hotgauge-lint: allow(L001, "solver output is finite (convergence-checked); NaN here means the solve already failed loudly")
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN temperatures"))
             .map(|(i, _)| i)
-            // hotgauge-lint: allow(L001, "ThermalFrame::new asserts a non-empty grid, so the maximum always exists")
             .expect("non-empty frame")
     }
 

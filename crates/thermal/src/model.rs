@@ -105,9 +105,12 @@ impl ThermalModel {
     ///
     /// Panics if the stack fails validation.
     pub fn new(stack: StackDescription) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "stacks come from the StackDescription presets, validated by construction; a failure is a preset bug, not user input"
+        )]
         stack
             .validate()
-            // hotgauge-lint: allow(L001, "stacks come from the StackDescription presets, validated by construction; a failure is a preset bug, not user input")
             .unwrap_or_else(|e| panic!("invalid stack: {e}"));
         let nx = stack.nx();
         let ny = stack.ny();
@@ -188,8 +191,11 @@ impl ThermalModel {
             }
         }
 
+        #[expect(
+            clippy::panic,
+            reason = "the loops above add exactly the in-grid 7-point edges, each symmetrically; a failure is an assembly bug, not user input"
+        )]
         let g = Stencil7::from_csr(&builder.build(), nx, ny, levels)
-            // hotgauge-lint: allow(L001, "the loops above add exactly the in-grid 7-point edges, each symmetrically; a failure is an assembly bug, not user input")
             .unwrap_or_else(|e| panic!("thermal network is not a 7-point stencil: {e}"));
         Self {
             stack,
@@ -537,7 +543,10 @@ impl ThermalSim {
             *r += self.model.cap[i] / dt * self.t[i] + self.model.conv[i] * amb;
         }
         let solve_threads = self.effective_solver_threads();
-        // hotgauge-lint: allow(L001, "prepare(dt) on the line above always fills self.sys")
+        #[expect(
+            clippy::expect_used,
+            reason = "prepare(dt) on the line above always fills self.sys"
+        )]
         let cache = self.sys.as_mut().expect("system prepared above");
         match &mut cache.solver {
             SysSolver::Direct { factor, work } => {
@@ -754,12 +763,15 @@ pub fn step_lockstep<'a>(
     {
         let _span = hotgauge_telemetry::span!("solver.multi_rhs");
         if direct {
+            #[expect(
+                clippy::unreachable,
+                reason = "prepare() above filled sys for every lane and the homogeneity check pinned the solver arm to Direct"
+            )]
             let Some(SysCache {
                 solver: SysSolver::Direct { factor, .. },
                 ..
             }) = &sims[0].sys
             else {
-                // hotgauge-lint: allow(L001, "prepare() above filled sys for every lane and the homogeneity check pinned the solver arm to Direct")
                 unreachable!("homogeneity check pinned the direct arm")
             };
             let factor = Arc::clone(factor);
@@ -781,8 +793,12 @@ pub fn step_lockstep<'a>(
                 });
             }
         } else {
-            let Some(cache) = &sims[0].sys else {
-                // hotgauge-lint: allow(L001, "prepare() above filled sys for every lane")
+            #[expect(
+                clippy::unreachable,
+                reason = "prepare() above filled sys for every lane"
+            )]
+            let Some(cache) = &sims[0].sys
+            else {
                 unreachable!("system prepared above")
             };
             let m = Arc::clone(&cache.m);
@@ -793,7 +809,10 @@ pub fn step_lockstep<'a>(
             if rebuild {
                 scratch.cg = Some((Arc::clone(&m), MultiCgWorkspace::new(&*m, k)));
             }
-            // hotgauge-lint: allow(L001, "the rebuild branch above just filled scratch.cg")
+            #[expect(
+                clippy::expect_used,
+                reason = "the rebuild branch above just filled scratch.cg"
+            )]
             let (_, ws) = scratch.cg.as_mut().expect("workspace built above");
             solve_cg_multi(&*m, &scratch.rhs, &mut scratch.x, &cg0, ws);
             for stats in ws.stats() {

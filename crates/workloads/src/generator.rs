@@ -109,9 +109,12 @@ impl WorkloadGen {
     ///
     /// Panics if the profile fails validation.
     pub fn new(profile: WorkloadProfile, seed: u64) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "profiles come from the compile-time SPEC2006/idle tables or from callers that validated them; documented panic"
+        )]
         profile
             .validate()
-            // hotgauge-lint: allow(L001, "profiles come from the compile-time SPEC2006/idle tables or from callers that validated them; documented panic")
             .unwrap_or_else(|e| panic!("invalid profile {}: {e}", profile.name));
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
         let branch_bias: Vec<bool> = (0..profile.branch.static_branches)

@@ -32,7 +32,10 @@ pub fn idle_profile() -> WorkloadProfile {
         code_footprint_bytes: 512 * 1024,
         phases: vec![Phase::neutral(1_000_000)],
     };
-    // hotgauge-lint: allow(L001, "the idle profile is a compile-time constant validated by tests")
+    #[expect(
+        clippy::expect_used,
+        reason = "the idle profile is a compile-time constant validated by tests"
+    )]
     p.validate().expect("idle profile is valid");
     p
 }

@@ -19,9 +19,10 @@
 //! within a TUH-scale horizon, slow enough that the thermal state actually
 //! swings.
 
-// The working-set tables keep `1 * MIB`-style entries aligned with their
-// neighbours, matching spec2006.rs.
-#![allow(clippy::identity_op)]
+#![expect(
+    clippy::identity_op,
+    reason = "the working-set tables keep `1 * MIB`-style entries aligned with their neighbours, matching spec2006.rs"
+)]
 
 use crate::profile::{BranchBehavior, InstMix, MemoryBehavior, Phase, WorkloadProfile};
 
@@ -168,10 +169,13 @@ pub fn profile(name: &str) -> Option<WorkloadProfile> {
 }
 
 /// Profiles for every modeled server trace.
+#[expect(
+    clippy::expect_used,
+    reason = "SERVER_BENCHMARKS and the profile table are maintained together; a miss is a table bug"
+)]
 pub fn all_profiles() -> Vec<WorkloadProfile> {
     SERVER_BENCHMARKS
         .iter()
-        // hotgauge-lint: allow(L001, "SERVER_BENCHMARKS and the profile table are maintained together; a miss is a table bug")
         .map(|n| profile(n).expect("all named server traces exist"))
         .collect()
 }

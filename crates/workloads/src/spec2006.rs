@@ -7,9 +7,10 @@
 //! predictability, ILP, code footprint, and phase structure. They are what
 //! stands in for tracing the real binaries with a Pin-based simulator.
 
-// The cache-size tables below keep `1 * MIB`-style entries aligned with
-// their neighbours.
-#![allow(clippy::identity_op)]
+#![expect(
+    clippy::identity_op,
+    reason = "the cache-size tables keep `1 * MIB`-style entries aligned with their neighbours"
+)]
 
 use crate::profile::{BranchBehavior, InstMix, MemoryBehavior, Phase, WorkloadProfile};
 
@@ -42,7 +43,10 @@ pub const ALL_BENCHMARKS: [&str; 19] = [
 /// The five benchmarks of the paper's `C_dyn` validation set (Table III).
 pub const VALIDATION_BENCHMARKS: [&str; 5] = ["bzip2", "gcc", "omnetpp", "povray", "hmmer"];
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one positional argument per column keeps the profile table below one row per benchmark"
+)]
 fn mk(
     name: &str,
     mix: InstMix,
@@ -73,8 +77,11 @@ fn mk(
         code_footprint_bytes: code,
         phases,
     };
+    #[expect(
+        clippy::panic,
+        reason = "the profile table is compile-time data; an invalid entry is caught by the all_profiles test, not reachable from user input"
+    )]
     p.validate()
-        // hotgauge-lint: allow(L001, "the profile table is compile-time data; an invalid entry is caught by the all_profiles test, not reachable from user input")
         .unwrap_or_else(|e| panic!("profile {name} invalid: {e}"));
     p
 }
@@ -501,10 +508,13 @@ pub fn profile(name: &str) -> Option<WorkloadProfile> {
 }
 
 /// Profiles for every modeled benchmark.
+#[expect(
+    clippy::expect_used,
+    reason = "ALL_BENCHMARKS and the profile table are maintained together; a miss is a table bug"
+)]
 pub fn all_profiles() -> Vec<WorkloadProfile> {
     ALL_BENCHMARKS
         .iter()
-        // hotgauge-lint: allow(L001, "ALL_BENCHMARKS and the profile table are maintained together; a miss is a table bug")
         .map(|n| profile(n).expect("all named benchmarks exist"))
         .collect()
 }
