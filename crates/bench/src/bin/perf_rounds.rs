@@ -16,6 +16,10 @@
 //! `gate_min_s` (best round) is the noise-robust headline, `gate_mean_s`
 //! and `gate_total_s` ride along.
 //!
+//! Round `r` runs the grid at seed `r - 1`. A repeated seed would replay
+//! every workload stream from the process's activity-trace table, and the
+//! best round would stop measuring the core warm-ups a fresh process pays.
+//!
 //! ```text
 //! perf_rounds [--rounds N] [--threads N] [--json PATH] [--quiet]
 //! ```
@@ -127,6 +131,9 @@ fn main() {
     let mut round_wall_s = Vec::with_capacity(rounds as usize);
     let mut hotspots = 0u64;
     for round in 1..=rounds {
+        for c in &mut cfgs {
+            c.seed = round - 1;
+        }
         let t0 = std::time::Instant::now();
         let rs = run_many(cfgs.clone(), threads);
         let wall = t0.elapsed().as_secs_f64();

@@ -9,11 +9,12 @@
 //! where the eleven others held unchanged. Any change to what a run records
 //! changes at least one.
 //!
-//! Every case runs inside this one test: the idle-warm-up memo is
-//! process-global, and one test per binary keeps the goldens independent of
-//! test order.
+//! Every case runs inside this one test: the idle-warm-up memo and the
+//! activity-trace table are process-global, and one test per binary keeps
+//! the goldens independent of test order.
 
 use hotgauge_bench::fingerprint::{run_cases, run_hash};
+use hotgauge_core::trace_stats;
 
 const GOLDEN: [(&str, u64); 12] = [
     ("cold", 0x9b3a_64eb_07e1_e45b),
@@ -32,7 +33,9 @@ const GOLDEN: [(&str, u64); 12] = [
 
 #[test]
 fn run_fingerprints_match_golden() {
+    let before = trace_stats();
     let cases = run_cases();
+    let after = trace_stats();
     let labels: Vec<&str> = cases.iter().map(|(l, _)| l.as_str()).collect();
     let want: Vec<&str> = GOLDEN.iter().map(|&(l, _)| l).collect();
     assert_eq!(labels, want, "the case list changed");
@@ -79,6 +82,22 @@ fn run_fingerprints_match_golden() {
             .windows(2)
             .any(|w| w[1].power_w > 2.0 * w[0].power_w),
         "the throttle case must release within its horizon"
+    );
+
+    // The cases reach every path of the activity-trace table. Of the 12
+    // runs' streams, `batch.0` and `sweep.0` replay `cold`'s hmmer stream,
+    // `batch.2` replays `stop`'s gcc stream and then extends it, and
+    // `throttle` replays the extended stream: 4 hits, 8 misses, 1
+    // extension. The idle activity adds one lookup per run over 6 idle
+    // streams: 6 hits and 6 misses.
+    assert_eq!(
+        (
+            after.hits - before.hits,
+            after.misses - before.misses,
+            after.extensions - before.extensions,
+        ),
+        (4 + 6, 8 + 6, 1),
+        "the cases must replay, extend and miss the trace table: {after:?}"
     );
 
     let mismatches: Vec<String> = cases

@@ -7,17 +7,15 @@ use serde::{Deserialize, Serialize};
 use hotgauge_floorplan::skylake::SkylakeProxy;
 use hotgauge_floorplan::tech::TechNode;
 use hotgauge_floorplan::unit::UnitKind;
-use hotgauge_perf::config::{CoreConfig, MemoryConfig};
-use hotgauge_perf::engine::CoreSim;
 use hotgauge_power::model::{CoreWindow, PowerModel, PowerParams};
 use hotgauge_power::validation::{silicon_cdyn, CdynValidationRow};
 use hotgauge_thermal::analysis::{psi_tdp, PsiTdp, PAPER_THERMAL_BUDGET_C};
 use hotgauge_thermal::model::ThermalModel;
 use hotgauge_thermal::stack::StackDescription;
 use hotgauge_thermal::warmup::Warmup;
-use hotgauge_workloads::generator::WorkloadGen;
 use hotgauge_workloads::spec2006;
 
+use crate::activity_trace::{first_window, StreamSpec, ROI_WARMUP_INSTRS};
 use crate::pipeline::{HistSpec, RunResult, SimConfig, SweepProgress};
 use crate::series::TimeSeries;
 use crate::sweep::run_many_batched_with;
@@ -142,6 +140,10 @@ impl Fidelity {
 // Table III — C_dyn validation
 // ---------------------------------------------------------------------------
 
+/// Instructions of the one window Table III and §II-A evaluate, after the
+/// ROI warm-up.
+const VALIDATION_SAMPLE_INSTRS: u64 = 400_000;
+
 /// Effective single-core `C_dyn` (nF) of a benchmark at a node, computed the
 /// way the paper validates it: run the workload, take core dynamic power,
 /// divide by `V²f`.
@@ -151,10 +153,12 @@ pub fn benchmark_cdyn_nf(benchmark: &str, node: TechNode) -> f64 {
         reason = "callers iterate VALIDATION_BENCHMARKS, a compile-time list of known profiles"
     )]
     let profile = spec2006::profile(benchmark).expect("known benchmark");
-    let mut gen = WorkloadGen::new(profile, 1);
-    let mut core = CoreSim::new(CoreConfig::default(), MemoryConfig::default());
-    core.warm_up(&mut gen, 2_000_000);
-    let act = core.run_instructions(&mut gen, 400_000);
+    let act = first_window(StreamSpec::new(
+        profile,
+        1,
+        ROI_WARMUP_INSTRS,
+        VALIDATION_SAMPLE_INSTRS,
+    ));
 
     let fp = SkylakeProxy::new(node).build();
     let model = PowerModel::new(&fp, node, PowerParams::default());
@@ -237,10 +241,12 @@ pub fn sec2a_power_density() -> Vec<PowerDensityRow> {
         reason = "bzip2 is a compile-time member of the SPEC2006 proxy table"
     )]
     let profile = spec2006::profile("bzip2").expect("bzip2 exists");
-    let mut gen = WorkloadGen::new(profile, 2);
-    let mut core = CoreSim::new(CoreConfig::default(), MemoryConfig::default());
-    core.warm_up(&mut gen, 2_000_000);
-    let act = core.run_instructions(&mut gen, 400_000);
+    let act = first_window(StreamSpec::new(
+        profile,
+        2,
+        ROI_WARMUP_INSTRS,
+        VALIDATION_SAMPLE_INSTRS,
+    ));
 
     TechNode::PAPER_NODES
         .iter()

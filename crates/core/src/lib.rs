@@ -18,6 +18,8 @@
 //! * hotspot **location attribution** ([`locations`], Fig. 12);
 //! * the **perf-power-therm co-simulation** pipeline gluing the performance,
 //!   power, and thermal substrates together ([`pipeline`], Fig. 3);
+//! * the process-wide table of **activity traces** that runs the perf model
+//!   once per workload stream, not once per run ([`activity_trace`]);
 //! * the **sweep executor** running whole figure grids on a
 //!   fixed pool with per-worker scratch arenas, solving same-geometry runs
 //!   in lockstep multi-RHS batches ([`sweep`]);
@@ -46,6 +48,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
+pub mod activity_trace;
 pub mod analysis;
 pub mod detect;
 pub mod experiments;
@@ -59,6 +62,7 @@ pub mod sweep;
 pub mod throttle;
 pub mod units;
 
+pub use crate::activity_trace::{trace_stats, TraceStats};
 pub use crate::analysis::{AnalysisConfig, FrameAnalysis, FrameAnalyzer};
 pub use crate::detect::{
     detect_hotspots, detect_hotspots_naive, detect_hotspots_with_mltd, Hotspot, HotspotParams,

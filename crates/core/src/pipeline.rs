@@ -24,8 +24,7 @@ use hotgauge_floorplan::skylake::SkylakeProxy;
 use hotgauge_floorplan::tech::TechNode;
 use hotgauge_floorplan::unit::UnitKind;
 use hotgauge_perf::activity::ActivityCounters;
-use hotgauge_perf::config::{CoreConfig, MemoryConfig};
-use hotgauge_perf::engine::CoreSim;
+use hotgauge_perf::config::CoreConfig;
 use hotgauge_power::model::{CoreWindow, PowerModel, PowerParams};
 use hotgauge_thermal::frame::ThermalFrame;
 use hotgauge_thermal::model::{
@@ -35,9 +34,9 @@ use hotgauge_thermal::stack::StackDescription;
 use hotgauge_thermal::warmup::Warmup;
 use hotgauge_thermal::MAX_LOCKSTEP_WIDTH;
 use hotgauge_workloads::benchmark_profile;
-use hotgauge_workloads::generator::WorkloadGen;
 use hotgauge_workloads::idle::{idle_profile, IDLE_DUTY_CYCLE, IDLE_WARMUP_DURATION_S};
 
+use crate::activity_trace::{first_window, trace_table, PerfSource, StreamSpec, ROI_WARMUP_INSTRS};
 use crate::analysis::{AnalysisConfig, FrameAnalyzer};
 use crate::detect::HotspotParams;
 use crate::locations::HotspotCensus;
@@ -51,6 +50,13 @@ use crate::units;
 /// (≈5.7× density), standing in for the sub-unit granularity of a 50+-unit
 /// floorplan.
 pub const UNIT_POWER_CONCENTRATION: (f64, f64) = (0.15, 0.85);
+
+/// Warm-up of the idle stream whose first window is the background cores'
+/// activity.
+const IDLE_ACTIVITY_WARMUP_INSTRS: u64 = 200_000;
+
+/// Instructions of the background cores' idle activity window.
+const IDLE_ACTIVITY_SAMPLE_INSTRS: u64 = 50_000;
 
 /// Histogram request: `bins` equal bins over `[lo, hi)`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -350,8 +356,7 @@ pub struct CoSimulation {
     grid_peaked: FloorplanGrid,
     power: PowerModel,
     thermal: ThermalSim,
-    core: CoreSim,
-    gen: WorkloadGen,
+    perf: PerfSource,
     idle_act: ActivityCounters,
 }
 
@@ -451,8 +456,8 @@ impl CoSimulation {
             }
         }
 
-        // Workload stream + core, warmed up before the ROI as in the paper.
-        // Never recycled: the stream depends on benchmark and seed.
+        // The workload stream and the idle stream. Never recycled: both
+        // depend on benchmark and seed.
         #[expect(
             clippy::panic,
             reason = "benchmark name validated at the top of try_new_reusing; a miss here is a bug, not user input"
@@ -462,12 +467,14 @@ impl CoSimulation {
         let seed = cfg.seed
             ^ (cfg.target_core as u64) << 32
             ^ (cfg.node.generations_from_14() as u64) << 40;
-        let mut gen = WorkloadGen::new(profile, seed);
-        let mut core = CoreSim::new(CoreConfig::default(), MemoryConfig::default());
-        core.warm_up(&mut gen, 2_000_000);
-
-        // A representative idle window for the background cores.
-        let idle_act = idle_activity_cached(seed ^ 0xDEAD_BEEF);
+        // A representative idle window for the background cores: the first
+        // window of the idle stream.
+        let idle_act = first_window(StreamSpec::new(
+            idle_profile(),
+            seed ^ 0xDEAD_BEEF,
+            IDLE_ACTIVITY_WARMUP_INSTRS,
+            IDLE_ACTIVITY_SAMPLE_INSTRS,
+        ));
 
         // Thermal initial condition. A recycled solver keeps its prepared
         // system (the backward-Euler matrix and Cholesky factor / CG
@@ -512,6 +519,16 @@ impl CoSimulation {
         // the sweep arenas exist for.
         thermal.prepare(cfg.window_seconds() / cfg.substeps as f64);
 
+        // The workload stream: replayed from the trace table when another
+        // run recorded it, else a core warmed up before the ROI as in the
+        // paper. Opened last, so that the idle core and the thermal warm-up's
+        // scratch are gone before a live core is built: construction holds
+        // one core model at a time, and never one next to the warm-up.
+        let perf = PerfSource::open(
+            StreamSpec::new(profile, seed, ROI_WARMUP_INSTRS, cfg.sample_instrs),
+            trace_table(),
+        );
+
         Ok(Self {
             cfg,
             fp,
@@ -519,8 +536,7 @@ impl CoSimulation {
             grid_peaked,
             power,
             thermal,
-            core,
-            gen,
+            perf,
             idle_act,
         })
     }
@@ -604,8 +620,8 @@ impl CoSimulation {
     }
 
     /// Stages 1–3 of the per-window loop: one perf sample, the power
-    /// evaluation and the rasterization. Only the core/workload models are
-    /// mutated; the thermal state is read for leakage feedback. `throttled`
+    /// evaluation and the rasterization. Only the perf source is mutated;
+    /// the thermal state is read for leakage feedback. `throttled`
     /// is the window's throttled power model and cycle count (see
     /// [`LaneThrottle::begin_window`]); `None` runs it at the nominal point.
     fn produce_window(&mut self, throttled: Option<(&PowerModel, u64)>) -> WindowOutput {
@@ -615,7 +631,7 @@ impl CoSimulation {
         // wall-clock window spans proportionally fewer cycles.
         let window = {
             let _stage = span!("stage.perf");
-            self.core.run_instructions(&mut self.gen, cfg.sample_instrs)
+            self.perf.next_window(trace_table())
         };
         let ipc = window.ipc();
         let instr_delta = (ipc * cycles as f64) as u64;
@@ -1039,8 +1055,10 @@ impl Lane {
 
     /// The lane's result, its analyzer and its geometry parts. A stopped
     /// lane took no step past its stopping substep, so the last analyzed
-    /// frame is the final state either way.
+    /// frame is the final state either way. A lane that ran its stream live
+    /// publishes the windows to the trace table here.
     fn finish(self) -> (RunResult, FrameAnalyzer, GeomParts) {
+        self.sim.perf.publish(trace_table());
         let CoSimulation {
             cfg,
             fp,
@@ -1087,33 +1105,6 @@ fn accumulate_deltas(
         bin = bin.clamp(0, h.bins as isize - 1);
         counts[bin as usize] += 1;
     }
-}
-
-/// The background-core activity window for one idle stream, memoized
-/// process-wide.
-///
-/// The idle stream is a pure function of its seed — the idle profile and
-/// the default core/memory configs are compile-time constants — and every
-/// run of a sweep grid derives its idle seed from the same `cfg.seed`, so
-/// a fig11-style 133-run grid has only as many distinct idle streams as
-/// target cores. Simulating the 250 k-instruction window once per *run*
-/// rather than once per *stream* was a measurable slice of construction
-/// time; memoizing a deterministic function returns bit-identical
-/// counters by definition.
-fn idle_activity_cached(seed: u64) -> ActivityCounters {
-    use std::collections::HashMap;
-    use std::sync::OnceLock;
-    static CACHE: OnceLock<parking_lot::Mutex<HashMap<u64, ActivityCounters>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| parking_lot::Mutex::new(HashMap::new()));
-    if let Some(act) = cache.lock().get(&seed) {
-        return *act;
-    }
-    let mut idle_core = CoreSim::new(CoreConfig::default(), MemoryConfig::default());
-    let mut idle_gen = WorkloadGen::new(idle_profile(), seed);
-    idle_core.warm_up(&mut idle_gen, 200_000);
-    let act = idle_core.run_instructions(&mut idle_gen, 50_000);
-    cache.lock().insert(seed, act);
-    act
 }
 
 /// The idle thermal warm-up state of a run, memoized process-wide under the
