@@ -9,10 +9,8 @@
 use std::sync::Arc;
 
 use hotgauge_core::experiments::Fidelity;
-use hotgauge_core::pipeline::{
-    build_floorplan, run_sim, BatchedCoSim, CoSimulation, HistSpec, RunResult, SimConfig,
-};
-use hotgauge_core::sweep::run_many_batched_with;
+use hotgauge_core::pipeline::{build_floorplan, run_sim, HistSpec, RunResult, SimConfig};
+use hotgauge_core::sweep::{run_batch, run_many_batched_with};
 use hotgauge_core::throttle::ThrottlePolicy;
 use hotgauge_floorplan::{FloorplanGrid, TechNode};
 use hotgauge_perf::config::{CoreConfig, MemoryConfig};
@@ -297,7 +295,7 @@ fn stop_early(c: &mut SimConfig) {
 /// * `idle` — an idle-start run;
 /// * `stop` — stop at the first hotspot, prefilter on, ΔT histogram, with
 ///   thresholds that stop it mid-run;
-/// * `batch.0..2` — a 3-lane [`BatchedCoSim`] whose lane 1 stops early and
+/// * `batch.0..2` — a 3-lane [`run_batch`] whose lane 1 stops early and
 ///   whose lane 2 runs longer;
 /// * `sweep.0..4` — `run_many_batched_with` at 2 threads and batch 2 over
 ///   five cold jobs on two geometries;
@@ -345,11 +343,8 @@ pub fn run_cases() -> Vec<(String, RunResult)> {
         hi: 2.0,
         bins: 16,
     });
-    let lanes = [run_case_cfg("hmmer"), hot, long]
-        .into_iter()
-        .map(CoSimulation::new)
-        .collect();
-    for (l, r) in BatchedCoSim::new(lanes).run().into_iter().enumerate() {
+    let lanes = vec![run_case_cfg("hmmer"), hot, long];
+    for (l, r) in run_batch(lanes, None).into_iter().enumerate() {
         out.push((format!("batch.{l}"), r));
     }
 

@@ -122,18 +122,6 @@ impl FrameAnalyzer {
         &self.mltd
     }
 
-    /// Re-targets a used analyzer at new detection/severity parameters while
-    /// keeping every scratch buffer. The chord tables are a function of the
-    /// disc radius in cells alone, so [`FrameAnalyzer::analyze`] rebuilds
-    /// them on its own if (and only if) the radius changes; everything else
-    /// is overwritten before it is read. Sweep workers use this to recycle
-    /// one analyzer across heterogeneous runs with bit-identical results.
-    pub fn reconfigure(&mut self, params: HotspotParams, severity: SeverityParams) {
-        self.params = params;
-        self.severity = severity;
-        self.bound_usable = severity.bound_usable();
-    }
-
     /// [`FrameAnalyzer::analyze`] behind the sub-threshold prefilter: when
     /// `prefilter` is set and `frame_max` (the frame's exact max, tracked
     /// during extraction) does not exceed `T_th`, Definition 1 guarantees an

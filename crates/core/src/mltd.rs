@@ -232,14 +232,6 @@ pub fn max_mltd(frame: &ThermalFrame, radius_m: f64) -> f64 {
     mltd_field(frame, radius_m).into_iter().fold(0.0, f64::max)
 }
 
-/// Unit-typed MLTD boundary: the neighborhood radius arrives as
-/// [`Microns`](crate::units::Microns) and is shed into the raw meters the
-/// sliding-window interior uses. Equivalent to
-/// `mltd_field(frame, radius.to_meters())`.
-pub fn mltd_field_radius(frame: &ThermalFrame, radius: crate::units::Microns) -> Vec<f64> {
-    mltd_field(frame, radius.to_meters())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -163,14 +163,6 @@ impl SimConfig {
         }
     }
 
-    /// Upgrades to the paper's fidelity: 100 µm grid and 50 µs substeps.
-    pub fn paper_fidelity(mut self) -> Self {
-        self.cell_um = 100.0;
-        self.substeps = 4;
-        self.sample_instrs = 50_000;
-        self
-    }
-
     /// Simulated seconds per window (1 M cycles at 5 GHz).
     pub fn window_seconds(&self) -> f64 {
         CoreConfig::TIME_STEP_CYCLES as f64 / 5e9
@@ -289,19 +281,9 @@ pub struct WindowProgress {
 
 /// Runs many configurations on the sweep executor; results
 /// keep input order. `threads = 0` sizes the pool to the hardware. See
-/// [`crate::sweep`] for the executor and its per-worker scratch arenas.
+/// [`crate::sweep`] for the executor and its lockstep batches.
 pub fn run_many(cfgs: Vec<SimConfig>, threads: usize) -> Vec<RunResult> {
     crate::sweep::run_many_with(cfgs, threads, None)
-}
-
-/// [`run_many`] with an optional completion callback, invoked from worker
-/// threads as each run finishes (sweep liveness for long experiments).
-pub fn run_many_with(
-    cfgs: Vec<SimConfig>,
-    threads: usize,
-    on_done: Option<&(dyn Fn(SweepProgress) + Sync)>,
-) -> Vec<RunResult> {
-    crate::sweep::run_many_with(cfgs, threads, on_done)
 }
 
 /// A rejected [`SimConfig`]. These are the user-input-reachable failure
@@ -395,8 +377,8 @@ impl CoSimulation {
         Self::try_new_reusing(cfg, None)
     }
 
-    /// [`CoSimulation::try_new`], optionally recycling the geometry-keyed
-    /// model parts of a previous same-geometry run (see [`crate::sweep`]).
+    /// [`CoSimulation::try_new`], optionally adopting the geometry-keyed
+    /// model parts of a lockstep batch mate (see [`crate::sweep::run_batch`]).
     ///
     /// With `geom: Some(..)` the floorplan, rasterized grids, power model,
     /// and prepared thermal solver are adopted instead of rebuilt; the
@@ -418,7 +400,7 @@ impl CoSimulation {
             return Err(ConfigError::UnknownBenchmark(cfg.benchmark.clone()));
         }
 
-        let (fp, grid, grid_peaked, power, recycled_thermal) = match geom {
+        let (fp, grid, grid_peaked, power, adopted_thermal) = match geom {
             Some(parts) => (
                 parts.fp,
                 parts.grid,
@@ -456,8 +438,8 @@ impl CoSimulation {
             }
         }
 
-        // The workload stream and the idle stream. Never recycled: both
-        // depend on benchmark and seed.
+        // The workload stream and the idle stream. Never adopted from a
+        // batch mate: both depend on benchmark and seed.
         #[expect(
             clippy::panic,
             reason = "benchmark name validated at the top of try_new_reusing; a miss here is a bug, not user input"
@@ -476,13 +458,14 @@ impl CoSimulation {
             IDLE_ACTIVITY_SAMPLE_INSTRS,
         ));
 
-        // Thermal initial condition. A recycled solver keeps its prepared
+        // Thermal initial condition. An adopted solver keeps its prepared
         // system (the backward-Euler matrix and Cholesky factor / CG
         // workspace are functions of geometry + dt + strategy only, all part
-        // of the arena key) but is reset to the uniform ambient state a
+        // of the geometry key) but is reset to the uniform ambient state a
         // fresh `ThermalSim::new` starts from, so the warm-up below — and
         // everything after it — sees exactly the fresh-construction state.
-        let mut thermal = match recycled_thermal {
+        // This reset is the only state one lane inherits from another.
+        let mut thermal = match adopted_thermal {
             Some(mut t) => {
                 t.set_uniform(t.model().stack().ambient_c);
                 t
@@ -505,9 +488,9 @@ impl CoSimulation {
         // below per-step temperature changes; tighter tolerances cost CG
         // iterations without changing any metric.
         thermal.cg.tolerance = 1e-6;
-        // Applied to recycled solvers too: the sweep thread budget is a
+        // Applied to adopted solvers too: the sweep thread budget is a
         // per-run knob, not part of the geometry key (it never changes
-        // results, so recycling across budgets is sound).
+        // results, so sharing a solver across budgets is sound).
         thermal.set_solver_threads(cfg.solver_threads);
         if cfg.warmup == Warmup::Idle {
             let state = warmup_state_cached(&cfg, &fp, &grid, &power, &thermal, &idle_act);
@@ -515,8 +498,8 @@ impl CoSimulation {
         }
         // Prepare the solver for the run's substep size now, so the one-time
         // factorization cost lands in construction rather than the first
-        // step. A no-op on recycled solvers (same dt): the factor-once win
-        // the sweep arenas exist for.
+        // step. A no-op on adopted solvers (same dt): batch mates share lane
+        // 0's prepared system.
         thermal.prepare(cfg.window_seconds() / cfg.substeps as f64);
 
         // The workload stream: replayed from the trace table when another
@@ -546,17 +529,12 @@ impl CoSimulation {
         &self.fp
     }
 
-    /// The configuration this simulation was built from.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// Clones the geometry-keyed model parts of this simulation, so a
     /// lockstep batch mate with the same [`crate::sweep::geom_key`] can be
     /// constructed without rebuilding them ([`CoSimulation::try_new_reusing`]
-    /// resets the cloned thermal state exactly as it does for arena-recycled
-    /// parts). The clone shares the prepared backward-Euler matrix through
-    /// its `Arc`, which is also what lets [`step_lockstep`] batch the lanes.
+    /// resets the cloned thermal state). The clone shares the prepared
+    /// backward-Euler matrix through its `Arc`, which is also what lets
+    /// [`step_lockstep`] batch the lanes.
     pub(crate) fn clone_geom_parts(&self) -> GeomParts {
         GeomParts {
             fp: self.fp.clone(),
@@ -608,15 +586,12 @@ impl CoSimulation {
     /// pass of the lockstep stepper [`run_lanes`], whose K = 1 thermal step
     /// is the plain [`ThermalSim::step`].
     pub fn run_with_progress(self, on_window: Option<&dyn Fn(WindowProgress)>) -> RunResult {
-        let analyzer = FrameAnalyzer::new(self.cfg.detect, self.cfg.severity);
         let on_lane_window = |_lane: usize, p: WindowProgress| {
             if let Some(cb) = on_window {
                 cb(p);
             }
         };
-        run_lanes(vec![self], vec![analyzer], None, Some(&on_lane_window))
-            .swap_remove(0)
-            .0
+        run_lanes(vec![self], None, Some(&on_lane_window)).swap_remove(0)
     }
 
     /// Stages 1–3 of the per-window loop: one perf sample, the power
@@ -679,11 +654,10 @@ impl CoSimulation {
 
 /// The geometry-keyed model parts of one co-simulation — everything that
 /// depends only on the floorplan/grid/solver shape of a [`SimConfig`], not
-/// on its workload or seed. A sweep worker hands these from a finished run
-/// to the next run with the same [`crate::sweep::geom_key`], skipping the
-/// floorplan build, the two rasterizations, the power-model assembly, and —
-/// the expensive part — the thermal-system preparation (Cholesky
-/// factorization / CG workspace).
+/// on its workload or seed. A lockstep batch mate with lane 0's
+/// [`crate::sweep::geom_key`] adopts a clone of lane 0's parts, skipping the
+/// floorplan build, the two rasterizations, the power-model assembly and the
+/// thermal-system preparation, and sharing lane 0's prepared matrix.
 pub(crate) struct GeomParts {
     pub(crate) fp: Floorplan,
     pub(crate) grid: FloorplanGrid,
@@ -692,78 +666,21 @@ pub(crate) struct GeomParts {
     pub(crate) thermal: ThermalSim,
 }
 
-/// A lockstep batch of up to [`MAX_LOCKSTEP_WIDTH`] co-simulations advanced
-/// together: every lane produces its perf/power window, then one multi-RHS
-/// thermal solve ([`step_lockstep`]) advances all still-running lanes at
-/// once, streaming the shared backward-Euler matrix a single time per
-/// substep instead of once per lane. Lanes deactivate independently — a
-/// stop-at-first-hotspot lane that trips, or a lane whose instruction/time
-/// budget runs out, simply drops out of subsequent solves while its batch
-/// mates continue.
-///
-/// Results are **bit-identical** to running each lane through
-/// [`CoSimulation::run`] on its own: both are passes of the same stepper,
-/// and the lockstep solver applies each lane's arithmetic in the same
-/// element order as the single-RHS path. Lanes whose thermal systems turn
-/// out not to be homogeneous (different grids or solver states) fall back
-/// to per-lane solo steps inside [`step_lockstep`] — still exact, just
-/// without the memory-bandwidth win. The sweep executor groups compatible
-/// jobs by [`crate::sweep::geom_key`] so batches hit the fast path.
-#[derive(Debug)]
-pub struct BatchedCoSim {
-    lanes: Vec<CoSimulation>,
-}
-
-impl BatchedCoSim {
-    /// Assembles a batch from fully constructed lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lanes` is empty, wider than [`MAX_LOCKSTEP_WIDTH`], or
-    /// mixes substep counts (lanes must share the substep schedule to step
-    /// in lockstep; geometry *may* differ, at the cost of the fallback).
-    pub fn new(lanes: Vec<CoSimulation>) -> Self {
-        assert!(!lanes.is_empty(), "a batch needs at least one lane");
-        assert!(
-            lanes.len() <= MAX_LOCKSTEP_WIDTH,
-            "batch width {} exceeds MAX_LOCKSTEP_WIDTH ({MAX_LOCKSTEP_WIDTH})",
-            lanes.len()
-        );
-        assert!(
-            lanes
-                .iter()
-                .all(|l| l.cfg.substeps == lanes[0].cfg.substeps),
-            "lockstep lanes must share a substep count"
-        );
-        Self { lanes }
-    }
-
-    /// Number of lanes in the batch.
-    pub fn width(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Runs every lane to completion and returns their results in lane
-    /// order. Each element is bit-identical to `run_sim` of that lane's
-    /// configuration.
-    pub fn run(self) -> Vec<RunResult> {
-        let analyzers = self
-            .lanes
-            .iter()
-            .map(|l| FrameAnalyzer::new(l.cfg.detect, l.cfg.severity))
-            .collect();
-        run_lanes(self.lanes, analyzers, None, None)
-            .into_iter()
-            .map(|(result, _, _)| result)
-            .collect()
-    }
-}
-
 /// The run loop of every co-simulation: advances `sims` window by window
-/// and substep by substep in lockstep, on caller-supplied (possibly
-/// recycled) analyzers, and hands each lane's result, analyzer and geometry
-/// parts back in lane order. A solo run is one lane, whose thermal step
-/// [`step_lockstep`] routes straight to [`ThermalSim::step`].
+/// and substep by substep in lockstep and returns each lane's result in
+/// lane order. Every still-running lane produces its perf/power window,
+/// then one multi-RHS thermal solve ([`step_lockstep`]) advances them all,
+/// streaming the shared backward-Euler matrix once per substep instead of
+/// once per lane. Lanes drop out independently: a stop-at-first-hotspot
+/// lane that trips, or a lane whose instruction/time budget runs out, takes
+/// no further steps while its batch mates continue.
+///
+/// Each result is **bit-identical** to a solo run of that lane: a solo run
+/// is one lane, whose thermal step [`step_lockstep`] routes straight to
+/// [`ThermalSim::step`], and the lockstep solver applies each lane's
+/// arithmetic in the single-RHS element order. Lanes whose thermal systems
+/// are not homogeneous (another grid or solver state) are stepped solo
+/// inside [`step_lockstep`]: still exact, without the bandwidth win.
 ///
 /// `on_lane_done` fires with the lane index as each lane finishes (sweep
 /// liveness); `on_window` fires with the lane index after each window a lane
@@ -771,21 +688,19 @@ impl BatchedCoSim {
 ///
 /// # Panics
 ///
-/// Panics when `sims` is empty, wider than [`MAX_LOCKSTEP_WIDTH`], mixes
-/// substep counts, or does not come with one analyzer per lane.
+/// Panics when `sims` is empty, wider than [`MAX_LOCKSTEP_WIDTH`], or mixes
+/// substep counts.
 pub(crate) fn run_lanes(
     sims: Vec<CoSimulation>,
-    analyzers: Vec<FrameAnalyzer>,
     on_lane_done: Option<&dyn Fn(usize)>,
     on_window: Option<&dyn Fn(usize, WindowProgress)>,
-) -> Vec<(RunResult, FrameAnalyzer, GeomParts)> {
+) -> Vec<RunResult> {
     let k = sims.len();
     assert!(k >= 1, "a batch needs at least one lane");
     assert!(
         k <= MAX_LOCKSTEP_WIDTH,
         "batch width {k} exceeds MAX_LOCKSTEP_WIDTH ({MAX_LOCKSTEP_WIDTH})"
     );
-    assert_eq!(k, analyzers.len(), "one analyzer per lane");
     let substeps = sims[0].cfg.substeps;
     assert!(
         sims.iter().all(|s| s.cfg.substeps == substeps),
@@ -798,7 +713,7 @@ pub(crate) fn run_lanes(
         }
     };
 
-    let mut lanes: Vec<Lane> = sims.into_iter().zip(analyzers).map(Lane::new).collect();
+    let mut lanes: Vec<Lane> = sims.into_iter().map(Lane::new).collect();
     let mut scratch = LockstepScratch::new();
     loop {
         // Window start: every unfinished lane with budget left produces its
@@ -930,12 +845,10 @@ struct Lane {
 }
 
 impl Lane {
-    /// Wraps a constructed co-simulation, re-targeting `analyzer` at its
-    /// parameters first, so a recycled analyzer gives bit-identical
-    /// results to a fresh one.
-    fn new((sim, mut analyzer): (CoSimulation, FrameAnalyzer)) -> Self {
+    /// Wraps a constructed co-simulation with a frame analyzer of its own.
+    fn new(sim: CoSimulation) -> Self {
         let cfg = &sim.cfg;
-        analyzer.reconfigure(cfg.detect, cfg.severity);
+        let analyzer = FrameAnalyzer::new(cfg.detect, cfg.severity);
         #[expect(
             clippy::panic,
             reason = "track_units validated against the floorplan in try_new; a miss here is a bug, not user input"
@@ -1053,24 +966,15 @@ impl Lane {
         !(cfg.stop_at_first_hotspot && self.tuh.is_some())
     }
 
-    /// The lane's result, its analyzer and its geometry parts. A stopped
-    /// lane took no step past its stopping substep, so the last analyzed
-    /// frame is the final state either way. A lane that ran its stream live
-    /// publishes the windows to the trace table here.
-    fn finish(self) -> (RunResult, FrameAnalyzer, GeomParts) {
+    /// The lane's result. A stopped lane took no step past its stopping
+    /// substep, so the last analyzed frame is the final state either way. A
+    /// lane that ran its stream live publishes the windows to the trace
+    /// table here.
+    fn finish(self) -> RunResult {
         self.sim.perf.publish(trace_table());
-        let CoSimulation {
-            cfg,
-            fp,
-            grid,
-            grid_peaked,
-            power,
-            thermal,
-            ..
-        } = self.sim;
-        let final_frame = self.frame.unwrap_or_else(|| thermal.die_frame());
-        let result = RunResult {
-            config: cfg,
+        let final_frame = self.frame.unwrap_or_else(|| self.sim.thermal.die_frame());
+        RunResult {
+            config: self.sim.cfg,
             records: self.records,
             tuh_s: self.tuh,
             census: self.census,
@@ -1079,15 +983,7 @@ impl Lane {
             throttled_windows: self.throttle.map_or(0, |t| t.windows),
             final_frame,
             sev_series: self.sev_series,
-        };
-        let parts = GeomParts {
-            fp,
-            grid,
-            grid_peaked,
-            power,
-            thermal,
-        };
-        (result, self.analyzer, parts)
+        }
     }
 }
 
@@ -1173,6 +1069,7 @@ pub fn unit_temperatures(fp: &Floorplan, grid: &FloorplanGrid, frame: &ThermalFr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::run_batch;
 
     fn quick_cfg() -> SimConfig {
         let mut c = SimConfig::new(TechNode::N7, "hmmer");
@@ -1400,12 +1297,10 @@ mod tests {
             hi: 2.0,
             bins: 16,
         });
-        let cfgs = [a, b, c];
+        let cfgs = vec![a, b, c];
         let want: Vec<RunResult> = cfgs.iter().cloned().map(run_sim).collect();
-        let batch = BatchedCoSim::new(cfgs.into_iter().map(CoSimulation::new).collect());
-        assert_eq!(batch.width(), 3);
-        let got = batch.run();
-        assert_eq!(got.len(), want.len());
+        let got = run_batch(cfgs, None);
+        assert_eq!(got.len(), 3);
         for (g, w) in got.iter().zip(&want) {
             assert_same_result(g, w);
         }
@@ -1432,7 +1327,7 @@ mod tests {
             want_hot.records.len() < want_cold.records.len(),
             "test premise: the stop lane must end before its mate"
         );
-        let got = BatchedCoSim::new(vec![CoSimulation::new(hot), CoSimulation::new(cold)]).run();
+        let got = run_batch(vec![hot, cold], None);
         assert_same_result(&got[0], &want_hot);
         assert_same_result(&got[1], &want_cold);
     }
@@ -1441,7 +1336,7 @@ mod tests {
     fn batch_of_one_matches_run_sim() {
         let cfg = quick_cfg();
         let want = run_sim(cfg.clone());
-        let got = BatchedCoSim::new(vec![CoSimulation::new(cfg)]).run();
+        let got = run_batch(vec![cfg], None);
         assert_same_result(&got[0], &want);
     }
 
@@ -1455,7 +1350,7 @@ mod tests {
         b.cell_um = 360.0;
         let want_a = run_sim(a.clone());
         let want_b = run_sim(b.clone());
-        let got = BatchedCoSim::new(vec![CoSimulation::new(a), CoSimulation::new(b)]).run();
+        let got = run_batch(vec![a, b], None);
         assert_same_result(&got[0], &want_a);
         assert_same_result(&got[1], &want_b);
     }

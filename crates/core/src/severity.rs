@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::units::{self, Celsius};
+use crate::units;
 
 /// The parameterized sigmoid of Eq. 1:
 /// `σ(x) = a / (1 + e^{−s (x − x₀)}) + y₀`.
@@ -64,12 +64,6 @@ impl SeverityParams {
             m: Sigmoid::new(units::SIGMOID_MLTD_MIDPOINT.deg_c(), -0.25, 0.2, 1.25),
             t: Sigmoid::new(units::SIGMOID_TEMP_MIDPOINT.deg_c(), 0.35, 0.05, 0.65),
         }
-    }
-
-    /// Unit-typed severity boundary: temperatures arrive as [`Celsius`] and
-    /// are shed into the raw-`f64` sigmoid interior here.
-    pub fn severity_at(&self, t: Celsius, mltd: Celsius) -> f64 {
-        self.severity(t.deg_c(), mltd.deg_c())
     }
 
     /// Severity of a point with temperature `t_c` (°C) and the given MLTD

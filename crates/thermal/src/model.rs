@@ -86,8 +86,6 @@ pub struct ThermalModel {
     stack: StackDescription,
     nx: usize,
     ny: usize,
-    /// Layer index of each level.
-    level_layer: Vec<usize>,
     /// Conductance matrix G (includes the convective diagonal term).
     g: Stencil7,
     /// Heat capacity per node, J/K.
@@ -201,7 +199,6 @@ impl ThermalModel {
             stack,
             nx,
             ny,
-            level_layer,
             g,
             cap,
             conv,
@@ -217,11 +214,6 @@ impl ThermalModel {
     /// Total node count.
     pub fn node_count(&self) -> usize {
         self.g.n()
-    }
-
-    /// Layer index of a given vertical level.
-    pub fn layer_of_level(&self, level: usize) -> usize {
-        self.level_layer[level]
     }
 
     /// The conductance matrix (for inspection/testing).
@@ -600,15 +592,6 @@ impl ThermalSim {
         last
     }
 
-    /// Runs to steady state for the given power and adopts it as the current
-    /// state. Returns the solve stats.
-    pub fn settle_to_steady(&mut self, die_power: &[f64]) -> SolveStats {
-        let (t, stats) = self.model.steady_state(die_power, &self.cg);
-        self.t = t;
-        self.have_prev = false;
-        stats
-    }
-
     /// The active-layer die-region temperature frame of the current state.
     pub fn die_frame(&self) -> ThermalFrame {
         self.model.die_frame_of(&self.t)
@@ -639,8 +622,8 @@ impl ThermalSim {
 /// Reusable scratch for [`step_lockstep`]: the node-major lane-minor SoA
 /// right-hand-side and solution blocks, the triangular-sweep work buffer,
 /// and the lane-shared multi-RHS CG workspace. Buffers are sized lazily on
-/// first use and grown whenever the lane count or grid changes, so one
-/// scratch serves a whole sweep of lockstep batches.
+/// first use and grown whenever the lane count or grid changes; the run
+/// loop keeps one scratch per batch, for all of the batch's substeps.
 #[derive(Debug, Default)]
 pub struct LockstepScratch {
     /// `[n × k]` SoA right-hand sides, `rhs[node*k + lane]`.

@@ -1,12 +1,11 @@
 //! Differential sweep-equivalence suite for the sweep executor.
 //!
 //! The contract under test (`hotgauge_core::sweep`): running a batch of
-//! configurations through the pooled executor — at any pool width, any
-//! lockstep batch width, with any arena state — produces **bit-identical,
-//! order-preserving** results to running each configuration through the
-//! serial `run_sim` path. Proptest generates heterogeneous batches (mixed
-//! benchmarks, nodes, grid geometries, seeds) so the arenas see both cache
-//! hits and geometry churn, and the lockstep grouper sees full batches,
+//! configurations through the pooled executor — at any pool width and any
+//! lockstep batch width — produces **bit-identical, order-preserving**
+//! results to running each configuration through the serial `run_sim`
+//! path. Proptest generates heterogeneous batches (mixed benchmarks, nodes,
+//! grid geometries, seeds) so the lockstep grouper sees full batches,
 //! stragglers, and singleton geometries that run as one-lane batches.
 //!
 //! All tests share one process-wide gate: the telemetry recorder is global,
@@ -21,10 +20,8 @@ use std::sync::{Mutex, MutexGuard};
 use proptest::prelude::*;
 
 use hotgauge_core::experiments::Fidelity;
-use hotgauge_core::pipeline::{
-    run_many, run_sim, BatchedCoSim, CoSimulation, RunResult, SimConfig,
-};
-use hotgauge_core::{run_batch_in, run_many_batched_with, run_sim_in, SweepArena, ThrottlePolicy};
+use hotgauge_core::pipeline::{run_many, run_sim, RunResult, SimConfig};
+use hotgauge_core::{run_batch, run_many_batched_with, ThrottlePolicy};
 use hotgauge_floorplan::tech::TechNode;
 use hotgauge_store::{
     run_many_keyed_with, run_many_stored_with, serve, DeltaBasis, ResultStore, RunSource,
@@ -79,7 +76,7 @@ fn low_trigger() -> ThrottlePolicy {
 }
 
 /// Heterogeneous sweep entries: SPEC proxies and server traces over several
-/// geometries (so arenas hit, miss, and evict), varying seeds, target cores,
+/// geometries (so lockstep groups form and split), varying seeds, target cores,
 /// substep counts and throttle policies (a policy never splits a lockstep
 /// group, so throttled and unthrottled lanes share batches).
 /// Every dimension is sliced deterministically out of one entropy word.
@@ -174,22 +171,6 @@ proptest! {
                 prop_assert_eq!(&got.final_frame, &want.final_frame);
                 prop_assert_eq!(got.total_instructions, want.total_instructions);
             }
-        }
-    }
-
-    // A dirty arena (random geometry churn from preceding runs) never
-    // changes a result: every run equals the same run on a fresh arena.
-    #[test]
-    fn dirty_arena_is_bitwise_equal_to_fresh_arena(
-        entropy in prop::collection::vec(0u64..u64::MAX, 3..6),
-    ) {
-        let _g = lock();
-        let cfgs: Vec<SimConfig> = entropy.into_iter().map(cfg_from_entropy).collect();
-        let mut arena = SweepArena::new();
-        for cfg in cfgs {
-            let dirty = run_sim_in(cfg.clone(), &mut arena);
-            let fresh = run_sim_in(cfg, &mut SweepArena::new());
-            assert_same_run(&dirty, &fresh);
         }
     }
 }
@@ -438,8 +419,8 @@ fn lockstep_stop_prefilter_and_fallback_lanes_match_serial() {
 
 /// Throttled lanes in lockstep: lanes under different policies, an
 /// unthrottled lane and a throttled lane that stops at its first hotspot
-/// share one `BatchedCoSim` and one `run_batch_in` batch, and every lane
-/// equals its solo run bit for bit.
+/// share one `run_batch` batch, and every lane equals its solo run bit for
+/// bit.
 #[test]
 fn throttled_lanes_match_their_solo_runs_in_lockstep() {
     let _g = lock();
@@ -475,14 +456,42 @@ fn throttled_lanes_match_their_solo_runs_in_lockstep() {
         want[4].tuh_s.is_some() && want[4].records.len() < want[3].records.len(),
         "premise: the stop lane must stop before its batch mates"
     );
-    let batched = BatchedCoSim::new(cfgs.iter().cloned().map(CoSimulation::new).collect()).run();
-    let in_arena = run_batch_in(cfgs, &mut SweepArena::new(), None);
-    for got in [batched, in_arena] {
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert_same_run(g, w);
-        }
+    let got = run_batch(cfgs, None);
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(&want) {
+        assert_same_run(g, w);
     }
+}
+
+/// Warm-up starts mixed in one batch: an idle-start lane 0 with a
+/// cold-start mate, then the reverse order. A mate clones lane 0's parts,
+/// thermal state included, and construction resets that state before the
+/// mate's own warm-up, so every lane equals its solo run bit for bit. The
+/// idle warm-up memo is keyed on geometry alone, not on the idle stream, so
+/// the idle lane has a geometry that no other test here idle-warms.
+#[test]
+fn mixed_warmup_lanes_match_their_solo_runs_in_lockstep() {
+    let _g = lock();
+    let lane = |bench: &str, warmup: Warmup| {
+        let mut c = base_cfg(bench);
+        c.cell_um = 330.0;
+        c.warmup = warmup;
+        c
+    };
+    let idle = lane("hmmer", Warmup::Idle);
+    let cold = lane("povray", Warmup::Cold);
+    let want_idle = run_sim(idle.clone());
+    let want_cold = run_sim(cold.clone());
+    assert!(
+        want_idle.records[0].mean_temp_c > want_cold.records[0].mean_temp_c + 0.5,
+        "premise: the idle lane starts warmer"
+    );
+    let got = run_batch(vec![idle.clone(), cold.clone()], None);
+    assert_same_run(&got[0], &want_idle);
+    assert_same_run(&got[1], &want_cold);
+    let got = run_batch(vec![cold, idle], None);
+    assert_same_run(&got[0], &want_cold);
+    assert_same_run(&got[1], &want_idle);
 }
 
 /// The fig11 shape from a cold start: 21 same-geometry runs at batch 8 on
@@ -509,9 +518,8 @@ fn fig11_shaped_grid_on_two_workers_matches_serial_reference() {
 }
 
 /// Executor telemetry is self-consistent: every scheduled job completes
-/// exactly once, the partition's items carry every run, lockstep batches
-/// account for every run they carry, and same-geometry batches reuse
-/// arenas for all but each worker's first item.
+/// exactly once, the partition's items carry every run, and lockstep
+/// batches account for every run they carry.
 // hotgauge-lint: allow(L002, "this test reads the recorder's snapshot API directly, which only exists under the feature; the facade macros cannot gate a whole #[test] fn")
 #[cfg(feature = "telemetry")]
 #[test]
@@ -522,10 +530,8 @@ fn executor_telemetry_counters_are_consistent() {
     const BATCH: usize = 2;
     // One geometry of twelve runs at batch 2: six width-2 items, which
     // already balance any pool of up to three workers, so the partition
-    // keeps them. The realized pool is capped by hardware, items, and the
-    // requested width exactly as the executor computes it.
+    // keeps them.
     const ITEMS: usize = JOBS / BATCH;
-    let workers = hotgauge_core::pool_workers(WIDTH, JOBS).clamp(1, ITEMS);
     let cfgs: Vec<SimConfig> = (0..JOBS)
         .map(|i| {
             let mut c = base_cfg("hmmer");
@@ -549,13 +555,6 @@ fn executor_telemetry_counters_are_consistent() {
     // run count (six full width-2 batches).
     assert_eq!(delta("solver.lockstep_runs"), JOBS as f64);
     assert_eq!(delta("solver.batch_width"), JOBS as f64);
-    // One geometry: each worker misses its arena at most once, and only
-    // lane 0 of each batch item touches the arena at all.
-    let reuse = delta("sweep.arena_reuse");
-    assert!(
-        ((ITEMS - workers) as f64..=(ITEMS - 1) as f64).contains(&reuse),
-        "arena reuse {reuse} out of range for {workers} worker(s)"
-    );
     let span_calls =
         |snap: &hotgauge_telemetry::Snapshot| snap.span("sweep.executor").map_or(0, |s| s.calls);
     assert_eq!(span_calls(&after) - span_calls(&before), 1);

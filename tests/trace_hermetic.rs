@@ -6,7 +6,7 @@
 //! share its stream run: a shorter and a longer horizon, the other warm-up
 //! start, another geometry, another substep count and a throttle policy.
 //! They leave the entry truncated, extended or untouched. The target then
-//! reruns solo, as lane 0 of a `BatchedCoSim` and on 1- and 2-worker
+//! reruns solo, as lane 0 of a `run_batch` batch and on 1- and 2-worker
 //! `run_many_batched_with` pools, and every field of every rerun must be
 //! bit-identical to its first run.
 //!
@@ -21,8 +21,8 @@
 //! file holds one test, so the table starts empty.
 
 use hotgauge_core::activity_trace::TRACE_TABLE_BYTES;
-use hotgauge_core::pipeline::{run_sim, BatchedCoSim, CoSimulation, RunResult, SimConfig};
-use hotgauge_core::{run_many_batched_with, trace_stats, ThrottlePolicy};
+use hotgauge_core::pipeline::{run_sim, RunResult, SimConfig};
+use hotgauge_core::{run_batch, run_many_batched_with, trace_stats, ThrottlePolicy};
 use hotgauge_floorplan::tech::TechNode;
 use hotgauge_thermal::warmup::Warmup;
 
@@ -143,8 +143,7 @@ fn results_do_not_depend_on_the_trace_table() {
 
         let mut mate = t.clone();
         mate.max_time_s = 2e-3;
-        let batch = BatchedCoSim::new(vec![CoSimulation::new(t.clone()), CoSimulation::new(mate)]);
-        let got = batch.run();
+        let got = run_batch(vec![t.clone(), mate], None);
         assert_same_run(&got[0], want, &format!("target {i}: lockstep lane"));
     }
 
