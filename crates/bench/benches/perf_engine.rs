@@ -48,6 +48,18 @@ fn bench_cache(c: &mut Criterion) {
             }
         })
     });
+    group.bench_function("l3_miss_stream", |b| {
+        // The Table-I L3, whose tags are `u16`: a 513-line stride through
+        // the 2^32-byte generated address space misses on every access.
+        let mut cache = Cache::new(CacheConfig::l3_default());
+        let mut a = 0u64;
+        b.iter(|| {
+            for _ in 0..N {
+                a = (a + 64 * 513) & 0xFFFF_FFFF;
+                cache.access(black_box(a));
+            }
+        })
+    });
     group.finish();
 }
 

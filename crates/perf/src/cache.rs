@@ -16,29 +16,98 @@ pub enum HitLevel {
     Memory,
 }
 
+/// Every address the workload generators emit lies below this bound: their
+/// code, data and cold-set segments all end below `0x9000_0000`, which a
+/// `hotgauge-workloads` test pins for every shipped profile. It decides
+/// each level's tag width (see [`Cache`]); it does not limit the model,
+/// which simulates any address whose tag fits its level's storage.
+const ADDRESS_LIMIT: u64 = 1 << 32;
+
+/// A tag storage word. `INVALID` marks an empty way, so a word holds the
+/// tags below it.
+trait TagWord: Copy + PartialEq {
+    const INVALID: Self;
+
+    /// `tag` as a storage word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` does not fit below `INVALID`: no tag may alias
+    /// another line or the invalid marker.
+    fn from_tag(tag: u64) -> Self;
+}
+
+impl TagWord for u16 {
+    const INVALID: Self = u16::MAX;
+
+    fn from_tag(tag: u64) -> Self {
+        assert!(tag < u64::from(Self::INVALID), "address beyond model range");
+        tag as u16
+    }
+}
+
+impl TagWord for u32 {
+    const INVALID: Self = u32::MAX;
+
+    fn from_tag(tag: u64) -> Self {
+        assert!(tag < u64::from(Self::INVALID), "address beyond model range");
+        tag as u32
+    }
+}
+
+/// One level's tag array, MRU first within each set, at the narrowest word
+/// that holds every tag of an address below [`ADDRESS_LIMIT`].
+#[derive(Debug, Clone)]
+enum Tags {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+/// Looks `tag` up in one set and moves it to the front: a hit at way `w`
+/// shifts ways `0..w` one slot toward the end; a miss shifts all but the
+/// last way, dropping the LRU line (or an invalid way). Returns whether
+/// the access hit.
+#[inline]
+fn move_to_front<T: TagWord>(set: &mut [T], tag: u64) -> bool {
+    let tag = T::from_tag(tag);
+    let hit = set.iter().position(|&t| t == tag);
+    set.copy_within(..hit.unwrap_or(set.len() - 1), 1);
+    set[0] = tag;
+    hit.is_some()
+}
+
 /// A single set-associative cache with true-LRU replacement.
 ///
 /// Each set keeps its valid tags in recency order, most recent first, with
-/// invalid ways (`u32::MAX`) after them. A hit rotates the tag to slot 0; a
-/// miss shifts the set right by one way and writes the new tag at slot 0,
-/// so the least recently used line (or an invalid way, while the set is not
-/// yet full) falls off the end. This is the same hit/miss sequence as a
-/// per-way LRU-stamp model: both keep the same set of resident tags, both
-/// fill an invalid way while one exists, and both then evict the line whose
-/// last access is oldest — which move-to-front order keeps in the last way.
+/// invalid ways after them. A hit rotates the tag to slot 0; a miss shifts
+/// the set right by one way and writes the new tag at slot 0, so the least
+/// recently used line (or an invalid way, while the set is not yet full)
+/// falls off the end. This is the same hit/miss sequence as a per-way
+/// LRU-stamp model: both keep the same set of resident tags, both fill an
+/// invalid way while one exists, and both then evict the line whose last
+/// access is oldest — which move-to-front order keeps in the last way.
 ///
-/// The order *is* the replacement state, so the model is one `u32` tag per
-/// line and nothing else: a 16 MiB L3 holds 262 144 lines in 1 MiB, and a
-/// 16-way set is one host cache line. That matters because the tag arrays
-/// are probed at random set indices on the simulated miss path, where
-/// host-cache misses dominate the cost of memory-bound workloads.
+/// The order *is* the replacement state, so the model is one tag word per
+/// line and nothing else. A level stores `u16` tags when every tag of an
+/// address below 2^32 (the generated address space) fits in 15 bits, and
+/// `u32` tags otherwise; the word's all-ones value marks an invalid way,
+/// which is why the rule is 15 bits and not 16. On Table I only the L3 is
+/// narrow (12-bit tags): its 262 144 lines take 512 KiB, and a 16-way set
+/// fills half a host cache line. The L1s (20-bit tags) and the L2 (16-bit)
+/// stay `u32`. That matters because the tag arrays are probed at random
+/// set indices on the simulated miss path, where host-cache misses
+/// dominate the cost of memory-bound workloads, and because every live
+/// core holds its own hierarchy.
+///
+/// A tag that does not fit its level's word panics with "address beyond
+/// model range" (from about 2^36 on the narrow L3, 2^44 on the L1s)
+/// instead of aliasing another line.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     sets: usize,
     line_shift: u32,
-    /// Tags per set, MRU first; `u32::MAX` = invalid.
-    tags: Vec<u32>,
+    tags: Tags,
     accesses: u64,
     misses: u64,
 }
@@ -49,11 +118,19 @@ impl Cache {
         let sets = cfg.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(cfg.line_bytes.is_power_of_two());
+        let line_shift = cfg.line_bytes.trailing_zeros();
+        let lines = sets * cfg.ways;
+        let max_tag = (ADDRESS_LIMIT - 1) >> (line_shift + sets.trailing_zeros());
+        let tags = if max_tag < u64::from(u16::INVALID) {
+            Tags::Narrow(vec![u16::INVALID; lines])
+        } else {
+            Tags::Wide(vec![u32::INVALID; lines])
+        };
         Self {
             cfg,
             sets,
-            line_shift: cfg.line_bytes.trailing_zeros(),
-            tags: vec![u32::MAX; sets * cfg.ways],
+            line_shift,
+            tags,
             accesses: 0,
             misses: 0,
         }
@@ -83,41 +160,43 @@ impl Cache {
                 unsafe_code,
                 reason = "the crate root denies unsafe code; this prefetch hint is its one sanctioned block"
             )]
-            // SAFETY: the set mask keeps `base` inside `tags`, and a
-            // prefetch hint reads no memory and raises no faults.
+            // SAFETY: the set mask keeps `base` inside the tag array, whose
+            // own element type sets the stride, and a prefetch hint reads
+            // no memory and raises no faults.
             unsafe {
-                core::arch::x86_64::_mm_prefetch(
-                    self.tags.as_ptr().add(base) as *const i8,
-                    core::arch::x86_64::_MM_HINT_T0,
-                );
+                let first: *const i8 = match &self.tags {
+                    Tags::Narrow(t) => t.as_ptr().add(base).cast(),
+                    Tags::Wide(t) => t.as_ptr().add(base).cast(),
+                };
+                core::arch::x86_64::_mm_prefetch(first, core::arch::x86_64::_MM_HINT_T0);
             }
         }
     }
 
     /// Accesses `addr`; returns `true` on hit. On miss the line is filled
     /// (allocate-on-miss for both reads and writes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr`'s tag does not fit this level's tag word.
+    // With a move-to-front body per tag word, LLVM no longer inlines this
+    // into the hierarchy's per-level lookups on its own; the calls made
+    // `stream_hash --core` ≈ 3.5 % slower on a 2-CPU x86-64 host.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
         let line = addr >> self.line_shift;
         let set = (line as usize) & (self.sets - 1);
-        let tag64 = line >> self.sets.trailing_zeros();
-        // Generated address spaces top out near 2^32, far below the ~2^44
-        // where a tag would no longer fit its compact representation.
-        assert!(tag64 < u64::from(u32::MAX), "address beyond model range");
-        let tag = tag64 as u32;
-        let ways = self.cfg.ways;
-        let base = set * ways;
-
-        // Move to front: a hit at way `w` shifts ways `0..w` one slot toward
-        // the end; a miss shifts all but the last way, dropping the LRU line.
-        let tags = &mut self.tags[base..base + ways];
-        let hit = tags.iter().position(|&t| t == tag);
-        if hit.is_none() {
+        let tag = line >> self.sets.trailing_zeros();
+        let ways = set * self.cfg.ways..(set + 1) * self.cfg.ways;
+        let hit = match &mut self.tags {
+            Tags::Narrow(t) => move_to_front(&mut t[ways], tag),
+            Tags::Wide(t) => move_to_front(&mut t[ways], tag),
+        };
+        if !hit {
             self.misses += 1;
         }
-        tags.copy_within(..hit.unwrap_or(ways - 1), 1);
-        tags[0] = tag;
-        hit.is_some()
+        hit
     }
 
     /// Total accesses.
@@ -147,16 +226,28 @@ impl Cache {
 
     /// Invalidates all lines and resets statistics.
     pub fn flush(&mut self) {
-        self.tags.fill(u32::MAX);
+        match &mut self.tags {
+            Tags::Narrow(t) => t.fill(u16::INVALID),
+            Tags::Wide(t) => t.fill(u32::INVALID),
+        }
         self.reset_stats();
+    }
+
+    /// Bytes of tag storage.
+    #[cfg(test)]
+    fn tag_bytes(&self) -> usize {
+        match &self.tags {
+            Tags::Narrow(t) => std::mem::size_of_val(t.as_slice()),
+            Tags::Wide(t) => std::mem::size_of_val(t.as_slice()),
+        }
     }
 }
 
 /// The private two-level + shared L3 hierarchy of one core's data path.
 ///
-/// The shared L3 is modeled per-core with capacity partitioning when
-/// multiple cores are active (a standard approximation for single-socket
-/// client workload studies; the paper's runs are single-threaded).
+/// Each core holds its own full-size model of the shared L3; nothing
+/// partitions it between cores. That suffices because the paper's runs
+/// are single-threaded: one core's view of the L3 is all of it.
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
     /// L1 instruction cache.
@@ -165,7 +256,7 @@ pub struct MemoryHierarchy {
     pub l1d: Cache,
     /// Private unified L2.
     pub l2: Cache,
-    /// Shared L3 (this core's view).
+    /// Shared L3 (this core's private, full-size model of it).
     pub l3: Cache,
     cfg: MemoryConfig,
 }
@@ -319,6 +410,26 @@ mod tests {
             assert!(!c.access(i * 64 * 8)); // far-apart lines
         }
         assert!((c.miss_rate() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn table1_tag_storage_is_narrow_only_on_the_l3() {
+        // 12-bit L3 tags fit `u16`; the L1s (20-bit) and the L2 (16-bit,
+        // which would reach the `u16::MAX` marker) stay `u32`.
+        let h = MemoryHierarchy::new(MemoryConfig::default());
+        let bytes = [&h.l1i, &h.l1d, &h.l2, &h.l3].map(Cache::tag_bytes);
+        assert_eq!(bytes, [2 << 10, 2 << 10, 32 << 10, 512 << 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "address beyond model range")]
+    fn first_tag_past_the_narrow_word_panics() {
+        let cfg = CacheConfig::l3_default();
+        let mut c = Cache::new(cfg);
+        let tag_shift = (cfg.sets() * cfg.line_bytes).trailing_zeros();
+        // The last tag below the invalid marker still fits.
+        assert!(!c.access((u64::from(u16::MAX) - 1) << tag_shift));
+        c.access(u64::from(u16::MAX) << tag_shift);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! oldest. Random address streams over a tiny cache and the four Table-I
 //! geometries concentrate on a few sets with more distinct lines per set
 //! than ways, so every stream exercises fills, hits at every recency depth
-//! and LRU evictions.
+//! and LRU evictions. A second mapping puts the Table-I L3's tags at the
+//! top of its narrow `u16` storage, where a tag colliding with the invalid
+//! marker or losing a bit would alias lines the reference keeps apart.
 
 #![expect(
     clippy::expect_used,
@@ -99,6 +101,53 @@ fn address(cfg: &CacheConfig, r: u64) -> u64 {
     (tag * sets + set) * line_bytes + offset
 }
 
+/// Maps one random word to an address on the Table-I L3 whose tag sits at
+/// the top of the `u16` range: one of four sets, and one of
+/// `ways + ways / 2 + 2` tags counting down from `u16::MAX - 1` (the
+/// largest that fits), every second one with bit 15 cleared so that it
+/// differs from its neighbour only in the top bit.
+fn narrow_top_address(cfg: &CacheConfig, r: u64) -> u64 {
+    let sets = cfg.sets() as u64;
+    let line_bytes = cfg.line_bytes as u64;
+    let set = [0, 1, sets / 2, sets - 1][(r & 3) as usize];
+    let j = (r >> 2) % (cfg.ways as u64 + cfg.ways as u64 / 2 + 2);
+    let top = u64::from(u16::MAX) - 1 - j / 2;
+    let tag = if j.is_multiple_of(2) {
+        top
+    } else {
+        top & 0x7FFF
+    };
+    let offset = (r >> 32) % line_bytes;
+    (tag * sets + set) * line_bytes + offset
+}
+
+/// Runs `stream` through both models on `cfg`, mapping each word to an
+/// address with `address`, and fails on the first disagreement.
+fn differential(
+    cfg: CacheConfig,
+    stream: &[u64],
+    address: fn(&CacheConfig, u64) -> u64,
+) -> Result<(), TestCaseError> {
+    let mut mtf = Cache::new(cfg);
+    let mut lru = StampLru::new(&cfg);
+    for (i, &r) in stream.iter().enumerate() {
+        // A rare mid-stream flush checks that both restart identically.
+        if r % 1499 == 0 {
+            mtf.flush();
+            lru.flush();
+        }
+        let addr = address(&cfg, r);
+        let (got, want) = (mtf.access(addr), lru.access(addr));
+        prop_assert!(
+            got == want,
+            "access {i} to {addr:#x} ({cfg:?}): move-to-front hit={got}, LRU hit={want}"
+        );
+    }
+    prop_assert_eq!(mtf.accesses(), lru.accesses);
+    prop_assert_eq!(mtf.misses(), lru.misses);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -107,23 +156,13 @@ proptest! {
         geometry in 0usize..5,
         stream in prop::collection::vec(0u64..u64::MAX, 1..3000),
     ) {
-        let cfg = geometries()[geometry];
-        let mut mtf = Cache::new(cfg);
-        let mut lru = StampLru::new(&cfg);
-        for (i, &r) in stream.iter().enumerate() {
-            // A rare mid-stream flush checks that both restart identically.
-            if r % 1499 == 0 {
-                mtf.flush();
-                lru.flush();
-            }
-            let addr = address(&cfg, r);
-            let (got, want) = (mtf.access(addr), lru.access(addr));
-            prop_assert!(
-                got == want,
-                "access {i} to {addr:#x} ({geometry}): move-to-front hit={got}, LRU hit={want}"
-            );
-        }
-        prop_assert_eq!(mtf.accesses(), lru.accesses);
-        prop_assert_eq!(mtf.misses(), lru.misses);
+        differential(geometries()[geometry], &stream, address)?;
+    }
+
+    #[test]
+    fn narrow_tags_at_the_top_of_their_range_match_stamp_lru(
+        stream in prop::collection::vec(0u64..u64::MAX, 1..3000),
+    ) {
+        differential(MemoryConfig::default().l3, &stream, narrow_top_address)?;
     }
 }

@@ -4,13 +4,17 @@
 //! The transient hot path calls this once per time step with the *same*
 //! matrix, so everything reusable lives in a [`CgWorkspace`] that callers
 //! cache across solves: the inverted diagonal of the preconditioner and the
-//! four iteration vectors. Only a workspace's first solve through
-//! [`solve_cg_with`] allocates.
+//! three iteration vectors `r`, `p`, `Ap`. Only a workspace's first solve
+//! through [`solve_cg_with`] allocates.
 //!
 //! Each iteration runs exactly three passes over memory: a fused
 //! SpMV + `p·Ap` dot ([`SpdOperator::mul_vec_dot`]), one fused update of
-//! `x`, `r`, `z` that also reduces `r·z`, and the `p` update. Convergence
-//! is checked on the preconditioned residual norm `√(r·z)` that the fused
+//! `x` and `r` that also reduces `r·z`, and the `p` update. The
+//! preconditioned residual `z = D⁻¹r` is never stored: both passes that
+//! need it recompute `r[i] * inv_diag[i]` from their operands, the same
+//! product every time, so the iterates equal those of a stored-`z` CG bit
+//! for bit (Rust never contracts `a * b + c` into an FMA). Convergence is
+//! checked on the preconditioned residual norm `√(r·z)` that the fused
 //! pass already produces, so no separate `‖r‖` pass is needed inside the
 //! loop; the true relative residual is computed once on exit.
 //!
@@ -107,16 +111,15 @@ impl Default for CgConfig {
 /// the diagonal; reusing it across the thousands of solves of a transient
 /// run eliminates every per-solve allocation.
 ///
-/// The four iteration vectors are allocated by the first solve, and a
-/// clone shares the preconditioner but not the vectors (they carry no
-/// state from one solve to the next). A workspace that never solves — a
-/// lockstep lane whose steps all go through the batch's
-/// [`MultiCgWorkspace`] — therefore costs one pointer, not five vectors.
+/// The three iteration vectors (`r`, `p`, `Ap`) are allocated by the
+/// first solve, and a clone shares the preconditioner but not the vectors
+/// (they carry no state from one solve to the next). A workspace that
+/// never solves — a lockstep lane whose steps all go through the batch's
+/// [`MultiCgWorkspace`] — therefore costs one pointer, not four vectors.
 #[derive(Debug)]
 pub struct CgWorkspace {
     inv_diag: Arc<[f64]>,
     r: Vec<f64>,
-    z: Vec<f64>,
     p: Vec<f64>,
     ap: Vec<f64>,
 }
@@ -142,7 +145,6 @@ impl CgWorkspace {
         Self {
             inv_diag,
             r: Vec::new(),
-            z: Vec::new(),
             p: Vec::new(),
             ap: Vec::new(),
         }
@@ -163,6 +165,12 @@ impl CgWorkspace {
     #[cfg(test)]
     pub(crate) fn shares_preconditioner(&self, other: &CgWorkspace) -> bool {
         Arc::ptr_eq(&self.inv_diag, &other.inv_diag)
+    }
+
+    /// `f64`s held by the iteration vectors.
+    #[cfg(test)]
+    fn iteration_words(&self) -> usize {
+        self.r.len() + self.p.len() + self.ap.len()
     }
 }
 
@@ -222,7 +230,6 @@ pub fn solve_cg_with<A: SpdOperator + ?Sized>(
         // First solve on this workspace: every vector is fully written
         // before it is read, so fresh zeroed storage is all it needs.
         ws.r = vec![0.0; n];
-        ws.z = vec![0.0; n];
         ws.p = vec![0.0; n];
         ws.ap = vec![0.0; n];
     }
@@ -243,19 +250,17 @@ pub fn solve_cg_with<A: SpdOperator + ?Sized>(
         };
     }
 
-    // r = b − A x, z = D⁻¹ r, p = z, rz = r·z — one SpMV plus one fused pass.
+    // r = b − A x, p = z = D⁻¹ r, rz = r·z — one SpMV plus one fused pass.
     a.mul_vec(x, &mut ws.r);
     let mut rz = 0.0f64;
-    for (((&bi, &di), (r, z)), p) in b
+    for ((&bi, &di), (r, p)) in b
         .iter()
         .zip(ws.inv_diag.iter())
-        .zip(ws.r.iter_mut().zip(&mut ws.z))
-        .zip(&mut ws.p)
+        .zip(ws.r.iter_mut().zip(&mut ws.p))
     {
         let ri = bi - *r;
         let zi = ri * di;
         *r = ri;
-        *z = zi;
         *p = zi;
         rz += ri * zi;
     }
@@ -277,15 +282,15 @@ pub fn solve_cg_with<A: SpdOperator + ?Sized>(
             return finish(&ws.r, it, false);
         }
         let alpha = rz / pap;
-        let rz_new =
-            fused_axpy_precond(x, &mut ws.r, &mut ws.z, &ws.p, &ws.ap, &ws.inv_diag, alpha);
+        let rz_new = fused_axpy_precond(x, &mut ws.r, &ws.p, &ws.ap, &ws.inv_diag, alpha);
         if rz_new <= cfg.tolerance * cfg.tolerance * nb2_prec {
             return finish(&ws.r, it, true);
         }
         let beta = rz_new / rz;
         rz = rz_new;
-        for (pi, &zi) in ws.p.iter_mut().zip(&ws.z) {
-            *pi = zi + beta * *pi;
+        // p = z + β p, with z = D⁻¹ r recomputed.
+        for ((pi, &ri), &di) in ws.p.iter_mut().zip(&ws.r).zip(ws.inv_diag.iter()) {
+            *pi = ri * di + beta * *pi;
         }
     }
 
@@ -293,16 +298,16 @@ pub fn solve_cg_with<A: SpdOperator + ?Sized>(
 }
 
 /// Reusable state for [`solve_cg_multi`]: the shared Jacobi preconditioner
-/// plus the four iteration blocks and per-lane scalars for `k` lockstep
-/// right-hand sides. All `[n × k]` blocks are node-major, lane-minor
-/// (`r[node * k + lane]`), so the per-node lane loops run over contiguous
-/// memory and auto-vectorize.
+/// plus the three iteration blocks (`r`, `p`, `Ap`) and per-lane scalars
+/// for `k` lockstep right-hand sides; like the solo solver, it recomputes
+/// `z = D⁻¹r` instead of storing it. All `[n × k]` blocks are node-major,
+/// lane-minor (`r[node * k + lane]`), so the per-node lane loops run over
+/// contiguous memory and auto-vectorize.
 #[derive(Debug, Clone)]
 pub struct MultiCgWorkspace {
     k: usize,
     inv_diag: Vec<f64>,
     r: Vec<f64>,
-    z: Vec<f64>,
     p: Vec<f64>,
     ap: Vec<f64>,
     pap: Vec<f64>,
@@ -328,7 +333,6 @@ impl MultiCgWorkspace {
             k,
             inv_diag,
             r: vec![0.0; n * k],
-            z: vec![0.0; n * k],
             p: vec![0.0; n * k],
             ap: vec![0.0; n * k],
             pap: vec![0.0; k],
@@ -361,6 +365,12 @@ impl MultiCgWorkspace {
     /// Per-lane outcomes of the last [`solve_cg_multi`] call.
     pub fn stats(&self) -> &[SolveStats] {
         &self.stats
+    }
+
+    /// `f64`s held by the iteration blocks.
+    #[cfg(test)]
+    fn iteration_words(&self) -> usize {
+        self.r.len() + self.p.len() + self.ap.len()
     }
 }
 
@@ -420,21 +430,19 @@ pub fn solve_cg_multi<A: SpdOperator + ?Sized>(
         }
     }
 
-    // r = b − A x, z = D⁻¹ r, p = z, rz = r·z per lane. Zero-rhs lanes have
-    // x zeroed above, so touching their (never again read) r/z/p is inert.
+    // r = b − A x, p = z = D⁻¹ r, rz = r·z per lane. Zero-rhs lanes have
+    // x zeroed above, so touching their (never again read) r/p is inert.
     a.mul_vec_multi(k, x, &mut ws.r);
     ws.rz.fill(0.0);
-    for (((brow, &di), (rrow, zrow)), prow) in b
+    for ((brow, &di), (rrow, prow)) in b
         .chunks_exact(k)
         .zip(&ws.inv_diag)
-        .zip(ws.r.chunks_exact_mut(k).zip(ws.z.chunks_exact_mut(k)))
-        .zip(ws.p.chunks_exact_mut(k))
+        .zip(ws.r.chunks_exact_mut(k).zip(ws.p.chunks_exact_mut(k)))
     {
         for l in 0..k {
             let ri = brow[l] - rrow[l];
             let zi = ri * di;
             rrow[l] = ri;
-            zrow[l] = zi;
             prow[l] = zi;
             ws.rz[l] += ri * zi;
         }
@@ -473,15 +481,15 @@ pub fn solve_cg_multi<A: SpdOperator + ?Sized>(
                 }
             }
         }
-        // Fused update: x += α p, r −= α ap, z = D⁻¹ r, reducing r·z, with
-        // masked lanes frozen. The unguarded loop runs while all lanes are
-        // live (the common case), keeping the lane loop branch-free.
+        // Fused update: x += α p, r −= α ap, reducing r·z with z = D⁻¹ r,
+        // with masked lanes frozen. The unguarded loop runs while all lanes
+        // are live (the common case), keeping the lane loop branch-free.
         let all = ws.active.iter().all(|&a| a);
         let mut rz_new = [0.0f64; MAX_LOCKSTEP_WIDTH];
         let rz_new = &mut rz_new[..k];
-        for (i, ((xrow, (rrow, zrow)), &di)) in x
+        for (i, ((xrow, rrow), &di)) in x
             .chunks_exact_mut(k)
-            .zip(ws.r.chunks_exact_mut(k).zip(ws.z.chunks_exact_mut(k)))
+            .zip(ws.r.chunks_exact_mut(k))
             .zip(&ws.inv_diag)
             .enumerate()
         {
@@ -491,20 +499,16 @@ pub fn solve_cg_multi<A: SpdOperator + ?Sized>(
                 for l in 0..k {
                     xrow[l] += ws.alpha[l] * prow[l];
                     let ri = rrow[l] - ws.alpha[l] * aprow[l];
-                    let zi = ri * di;
                     rrow[l] = ri;
-                    zrow[l] = zi;
-                    rz_new[l] += ri * zi;
+                    rz_new[l] += ri * (ri * di);
                 }
             } else {
                 for l in 0..k {
                     if ws.active[l] {
                         xrow[l] += ws.alpha[l] * prow[l];
                         let ri = rrow[l] - ws.alpha[l] * aprow[l];
-                        let zi = ri * di;
                         rrow[l] = ri;
-                        zrow[l] = zi;
-                        rz_new[l] += ri * zi;
+                        rz_new[l] += ri * (ri * di);
                     }
                 }
             }
@@ -521,16 +525,21 @@ pub fn solve_cg_multi<A: SpdOperator + ?Sized>(
                 }
             }
         }
+        // p = z + β p per lane, with z = D⁻¹ r recomputed.
         let all = ws.active.iter().all(|&a| a);
-        for (prow, zrow) in ws.p.chunks_exact_mut(k).zip(ws.z.chunks_exact(k)) {
+        for ((prow, rrow), &di) in
+            ws.p.chunks_exact_mut(k)
+                .zip(ws.r.chunks_exact(k))
+                .zip(&ws.inv_diag)
+        {
             if all {
                 for l in 0..k {
-                    prow[l] = zrow[l] + ws.alpha[l] * prow[l];
+                    prow[l] = rrow[l] * di + ws.alpha[l] * prow[l];
                 }
             } else {
                 for l in 0..k {
                     if ws.active[l] {
-                        prow[l] = zrow[l] + ws.alpha[l] * prow[l];
+                        prow[l] = rrow[l] * di + ws.alpha[l] * prow[l];
                     }
                 }
             }
@@ -548,12 +557,12 @@ pub fn solve_cg_multi<A: SpdOperator + ?Sized>(
 /// support. The sweep executor batches at 4 or 8; 16 leaves headroom.
 pub const MAX_LOCKSTEP_WIDTH: usize = 16;
 
-/// The fused CG update: `x += α p`, `r −= α ap`, `z = D⁻¹ r`; returns the
-/// new `r·z`. One pass over six streams instead of four separate loops.
+/// The fused CG update: `x += α p`, `r −= α ap`; returns the new `r·z`
+/// with `z = D⁻¹ r`. One pass over five streams instead of three separate
+/// loops.
 fn fused_axpy_precond(
     x: &mut [f64],
     r: &mut [f64],
-    z: &mut [f64],
     p: &[f64],
     ap: &[f64],
     inv_diag: &[f64],
@@ -563,10 +572,8 @@ fn fused_axpy_precond(
     for i in 0..x.len() {
         x[i] += alpha * p[i];
         let ri = r[i] - alpha * ap[i];
-        let zi = ri * inv_diag[i];
         r[i] = ri;
-        z[i] = zi;
-        rz += ri * zi;
+        rz += ri * (ri * inv_diag[i]);
     }
     rz
 }
@@ -732,6 +739,22 @@ mod tests {
             stats.relative_residual,
             true_res
         );
+    }
+
+    #[test]
+    fn iteration_storage_is_three_vectors() {
+        // r, p and Ap only: z = D⁻¹ r is recomputed, not stored.
+        let n = 64;
+        let a = poisson(n);
+        let mut ws = CgWorkspace::new(&a);
+        assert_eq!(ws.iteration_words(), 0, "allocated on first solve");
+        let mut x = vec![0.0; n];
+        let stats = solve_cg_with(&a, &vec![1.0; n], &mut x, &CgConfig::default(), &mut ws);
+        assert!(stats.iterations > 0);
+        assert_eq!(ws.iteration_words(), 3 * n);
+        for k in [1, 8] {
+            assert_eq!(MultiCgWorkspace::new(&a, k).iteration_words(), 3 * n * k);
+        }
     }
 
     /// Pack per-lane vectors into a node-major lane-minor SoA block.

@@ -456,6 +456,32 @@ mod tests {
     }
 
     #[test]
+    fn shipped_profiles_stay_below_the_cache_tag_bound() {
+        // `hotgauge_perf::cache` picks each level's tag word for addresses
+        // below 2^32 (narrow `u16` tags on the Table-I L3), so every
+        // segment a shipped profile draws from must end at or below it.
+        const ADDRESS_LIMIT: u64 = 1 << 32;
+        let profiles: Vec<WorkloadProfile> = crate::spec2006::all_profiles()
+            .into_iter()
+            .chain(crate::server::all_profiles())
+            .chain([crate::idle::idle_profile()])
+            .collect();
+        assert_eq!(profiles.len(), 19 + 3 + 1);
+        for p in &profiles {
+            let ends = [
+                CODE_BASE + p.code_footprint_bytes,
+                DATA_BASE + p.mem.working_set_bytes,
+                BIG_BASE + p.mem.big_set_bytes,
+            ];
+            assert!(
+                ends.iter().all(|&end| end <= ADDRESS_LIMIT),
+                "{}: code, data and cold-set segments end at {ends:#x?}",
+                p.name
+            );
+        }
+    }
+
+    #[test]
     fn phase_scaling_changes_fp_share() {
         let mut p = profile();
         p.phases = vec![Phase {
