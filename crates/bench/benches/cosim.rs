@@ -10,17 +10,15 @@
 //!   warms up live, as in a fresh process.
 //! - `cosim_step` constructs the `CoSimulation` once and clones it per
 //!   iteration, isolating the stepping hot path that dominates long
-//!   horizons; it is benchmarked under both solver strategies. Every
-//!   variant is built before the first iteration, so each holds a live
-//!   core: a variant built after another's clones had published their
-//!   windows would replay them instead.
+//!   horizons. Every variant is built before the first iteration, so each
+//!   holds a live core: a variant built after another's clones had
+//!   published their windows would replay them instead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use hotgauge_core::experiments::Fidelity;
 use hotgauge_core::pipeline::{run_sim, CoSimulation, SimConfig};
 use hotgauge_floorplan::tech::TechNode;
-use hotgauge_thermal::model::SolverStrategy;
 use hotgauge_thermal::warmup::Warmup;
 
 fn bench_cfg(cell: f64) -> SimConfig {
@@ -54,17 +52,15 @@ fn bench_cosim_window(c: &mut Criterion) {
 fn bench_cosim_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("cosim_step");
     group.sample_size(10);
-    let mut variants = Vec::new();
-    for (label, cell) in [("fast_250um", 250.0), ("fine_150um", 150.0)] {
-        for solver in [SolverStrategy::DirectCholesky, SolverStrategy::Cg] {
-            let mut cfg = bench_cfg(cell);
-            cfg.solver = solver;
-            variants.push((
-                format!("gcc_7nm_1ms_{label}_{solver}"),
-                CoSimulation::new(cfg),
-            ));
-        }
-    }
+    let variants: Vec<_> = [("fast_250um", 250.0), ("fine_150um", 150.0)]
+        .into_iter()
+        .map(|(label, cell)| {
+            (
+                format!("gcc_7nm_1ms_{label}"),
+                CoSimulation::new(bench_cfg(cell)),
+            )
+        })
+        .collect();
     for (name, sim) in variants {
         group.bench_function(name, |b| b.iter(|| sim.clone().run()));
     }

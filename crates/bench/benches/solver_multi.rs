@@ -1,16 +1,13 @@
 //! Lockstep multi-RHS solver cost: K identical transient steps through
-//! `step_lockstep` against the K=1 solo path, for both solver arms at
-//! several grid resolutions of the 7 nm client die. The per-run
-//! amortization is `K·T(1) / T(K)` — the multi-RHS SpMV and triangular
-//! sweeps stream each matrix row's nonzeros once for all K lanes.
+//! `step_lockstep` against the K=1 solo path at several grid resolutions
+//! of the 7 nm client die. The per-run amortization is `K·T(1) / T(K)` —
+//! the multi-RHS CG kernels stream each matrix row's coefficients once for
+//! all K lanes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use hotgauge_floorplan::prelude::*;
-use hotgauge_thermal::chol::CholOptions;
-use hotgauge_thermal::model::{
-    step_lockstep, LockstepScratch, SolverStrategy, ThermalModel, ThermalSim,
-};
+use hotgauge_thermal::model::{step_lockstep, LockstepScratch, ThermalModel, ThermalSim};
 use hotgauge_thermal::stack::StackDescription;
 
 fn setup(cell_um: f64) -> (ThermalModel, Vec<f64>) {
@@ -26,29 +23,24 @@ fn setup(cell_um: f64) -> (ThermalModel, Vec<f64>) {
     (model, power)
 }
 
-fn bench_arm(c: &mut Criterion, strategy: SolverStrategy, cells: &[f64]) {
+fn bench_lockstep_cg(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver_multi");
     group.sample_size(10);
-    for &cell in cells {
+    for cell in [400.0, 250.0, 150.0] {
         let (model, power) = setup(cell);
         let nodes = model.node_count();
         let mut proto = ThermalSim::new(model, 40.0);
         proto.cg.tolerance = 1e-6;
-        // Unbounded profile budget so the direct arm really factors at
-        // these sizes instead of falling back to CG.
-        proto.chol = CholOptions::unbounded();
-        proto.set_strategy(strategy);
-        // Prime: factor (direct) / build the cached system (cg), and
-        // establish a warm start shared by every clone.
+        // Prime: build the cached system, and establish a warm start shared
+        // by every clone.
         proto.step(&power, 200e-6);
-        assert_eq!(proto.active_solver(), Some(strategy));
         for k in [1usize, 4, 8] {
             // Clones share the prepared system matrix through its Arc —
             // the same sharing the sweep executor's batches rely on.
             let mut sims: Vec<ThermalSim> = (0..k).map(|_| proto.clone()).collect();
             let mut scratch = LockstepScratch::new();
             group.bench_with_input(
-                BenchmarkId::new(format!("{}_k{k}", strategy.as_str()), nodes),
+                BenchmarkId::new(format!("cg_k{k}"), nodes),
                 &power,
                 |b, p| {
                     b.iter(|| {
@@ -63,15 +55,5 @@ fn bench_arm(c: &mut Criterion, strategy: SolverStrategy, cells: &[f64]) {
     group.finish();
 }
 
-fn bench_lockstep_cg(c: &mut Criterion) {
-    bench_arm(c, SolverStrategy::Cg, &[400.0, 250.0, 150.0]);
-}
-
-fn bench_lockstep_direct(c: &mut Criterion) {
-    // The factorization cost profile makes direct a small-grid strategy;
-    // 150 µm direct solves are not a configuration the sweeps ever run.
-    bench_arm(c, SolverStrategy::DirectCholesky, &[400.0, 250.0]);
-}
-
-criterion_group!(benches, bench_lockstep_cg, bench_lockstep_direct);
+criterion_group!(benches, bench_lockstep_cg);
 criterion_main!(benches);

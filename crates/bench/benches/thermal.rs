@@ -1,13 +1,10 @@
 //! Thermal-solver cost: steady-state CG solves and warm-started transient
-//! steps at several grid resolutions of the 7 nm client die, plus a
-//! direct-Cholesky vs CG comparison that exposes the strategy crossover
-//! (the factorization is excluded — it is paid once per run).
+//! steps at several grid resolutions of the 7 nm client die.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use hotgauge_floorplan::prelude::*;
-use hotgauge_thermal::chol::CholOptions;
-use hotgauge_thermal::model::{SolverStrategy, ThermalModel, ThermalSim};
+use hotgauge_thermal::model::{ThermalModel, ThermalSim};
 use hotgauge_thermal::solver::CgConfig;
 use hotgauge_thermal::stack::StackDescription;
 
@@ -65,37 +62,5 @@ fn bench_transient_step(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_solver_strategies(c: &mut Criterion) {
-    let mut group = c.benchmark_group("thermal_solver");
-    group.sample_size(10);
-    for cell in [400.0, 250.0] {
-        for strategy in [SolverStrategy::DirectCholesky, SolverStrategy::Cg] {
-            let (model, power) = setup(cell);
-            let nodes = model.node_count();
-            let mut sim = ThermalSim::new(model, 40.0);
-            sim.cg.tolerance = 1e-6;
-            // Lift the profile budget so the direct path really factors at
-            // these sizes instead of falling back (the default budget would
-            // reject them — that crossover is exactly what this group shows).
-            sim.chol = CholOptions::unbounded();
-            sim.set_strategy(strategy);
-            // Prime: factor (direct) / build the cached system (cg).
-            sim.step(&power, 200e-6);
-            assert_eq!(sim.active_solver(), Some(strategy));
-            group.bench_with_input(
-                BenchmarkId::new(strategy.as_str(), nodes),
-                &power,
-                |b, p| b.iter(|| sim.step(black_box(p), 200e-6)),
-            );
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_steady,
-    bench_transient_step,
-    bench_solver_strategies
-);
+criterion_group!(benches, bench_steady, bench_transient_step);
 criterion_main!(benches);

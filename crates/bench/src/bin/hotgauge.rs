@@ -2,15 +2,15 @@
 //!
 //! ```text
 //! hotgauge [--benchmark] <benchmark> [--node 14|10|7|5[nm]] [--core N]
-//!          [--cold] [--ms HORIZON] [--cell UM] [--solver direct|cg]
-//!          [--solver-threads N] [--scale UNIT FACTOR] [--ic-area FACTOR]
-//!          [--json PATH] [--quiet] [--progress]
+//!          [--cold] [--ms HORIZON] [--cell UM] [--scale UNIT FACTOR]
+//!          [--ic-area FACTOR] [--json PATH] [--quiet] [--progress]
 //! ```
 //!
 //! `--json PATH` writes a schema-versioned run manifest (results plus, when
 //! built with `--features telemetry`, per-stage timing and solver counters)
-//! atomically to PATH; `-` prints it to stdout. Bad benchmark, node, core,
-//! or unit names exit with status 2 instead of panicking.
+//! atomically to PATH; `-` prints it to stdout. Bad benchmark, node, core
+//! or unit names, and out-of-range horizons, cell sizes or factors, exit
+//! with status 2 instead of panicking.
 //!
 //! `hotgauge gate <baseline.json> <candidate.json> [...]` runs the
 //! manifest-diff performance gate instead (see `hotgauge-perfgate`).
@@ -36,15 +36,10 @@ options:
   --node NODE        technology node: 14|10|7|5, `nm` suffix accepted
   --core N           target core, 0..6
   --cold             start from ambient instead of the idle-warm state
-  --ms HORIZON       simulated horizon in milliseconds
-  --cell UM          thermal grid cell size in micrometers
-  --solver WHICH     thermal solver: direct (factor-once Cholesky, falls
-                     back to CG past the profile budget) or cg; default direct
-  --solver-threads N shards for the direct solver's level-scheduled
-                     triangular sweeps (0 = auto, default 1 = serial;
-                     results are bit-identical for any value)
-  --scale UNIT F     scale one unit kind's area by F (repeatable)
-  --ic-area F        uniform IC area factor
+  --ms HORIZON       simulated horizon in milliseconds (> 0)
+  --cell UM          thermal grid cell size in micrometers (> 0)
+  --scale UNIT F     scale one unit kind's area by F > 0 (repeatable)
+  --ic-area F        uniform IC area factor (>= 1)
   --json PATH        write the run manifest to PATH (`-` for stdout)
   --quiet            suppress the human-readable report
   --progress         report per-window liveness on stderr
@@ -133,18 +128,6 @@ fn parse_args(args: &[String]) -> Cli {
                 cfg.cell_um = v
                     .parse()
                     .unwrap_or_else(|_| fail(format!("invalid cell size {v}")));
-            }
-            "--solver" => {
-                let v = flag_value(args, &mut i, "--solver");
-                cfg.solver = v.parse().unwrap_or_else(|e| fail(e));
-            }
-            "--solver-threads" => {
-                let v = flag_value(args, &mut i, "--solver-threads");
-                cfg.solver_threads = v.parse::<usize>().unwrap_or_else(|_| {
-                    fail(format!(
-                        "invalid solver thread count {v} (expected an integer; 0 = auto)"
-                    ))
-                });
             }
             "--scale" => {
                 let unit_label = flag_value(args, &mut i, "--scale").to_owned();
@@ -263,8 +246,6 @@ fn main() {
             .with_config("core", r.config.target_core)
             .with_config("warmup", r.config.warmup.label())
             .with_config("cell_um", r.config.cell_um)
-            .with_config("solver", r.config.solver.as_str())
-            .with_config("solver_threads", r.config.solver_threads)
             .with_config("max_time_s", r.config.max_time_s)
             .with_config("ic_area_factor", r.config.ic_area_factor)
             .with_config("lint_policy_version", hotgauge_lint::POLICY_VERSION)

@@ -13,10 +13,6 @@
 //!   are solved up to `K` at a time through the multi-RHS thermal path
 //!   (default: [`hotgauge_core::DEFAULT_BATCH_WIDTH`]; `1` disables
 //!   batching; results are bit-identical at every width).
-//! * `--solver-threads N` — shard width for the level-scheduled triangular
-//!   sweeps of the direct (skyline Cholesky) thermal solver (`0` = one per
-//!   hardware thread, default `1` = serial sweeps; results are bit-identical
-//!   at every setting — see DESIGN.md "Threading model").
 //! * `--store DIR` — route sweeps through the content-addressed result
 //!   store at DIR: unchanged runs are served from disk bit-identically,
 //!   fresh runs are persisted, and the manifest gains a `store` block with
@@ -48,7 +44,6 @@ pub struct BinArgs {
     quiet: bool,
     threads: Option<usize>,
     batch: Option<usize>,
-    solver_threads: Option<usize>,
     /// `(jobs, realized pool width)` of the bin's sweep, when noted.
     sweep_shape: std::cell::Cell<Option<(usize, usize)>>,
     store_dir: Option<String>,
@@ -67,7 +62,6 @@ impl BinArgs {
         let mut quiet = false;
         let mut threads = None;
         let mut batch = None;
-        let mut solver_threads = None;
         let mut store_dir = None;
         let mut delta_path = None;
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -76,12 +70,10 @@ impl BinArgs {
             match args[i].as_str() {
                 "--help" | "-h" => {
                     println!(
-                        "usage: {tool} [--json PATH] [--threads N] [--batch K] [--solver-threads N] [--store DIR [--delta PREV]] [--quiet]\n\
+                        "usage: {tool} [--json PATH] [--threads N] [--batch K] [--store DIR [--delta PREV]] [--quiet]\n\
                          \x20 --json PATH        write the run manifest to PATH (`-` for stdout)\n\
                          \x20 --threads N        sweep worker-pool width (default: all hardware threads)\n\
                          \x20 --batch K          lockstep batch width for sweeps (default: {}; 1 disables)\n\
-                         \x20 --solver-threads N shards for the direct solver's triangular sweeps\n\
-                         \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 (0 = auto, default 1 = serial; bit-identical results)\n\
                          \x20 --store DIR        serve unchanged runs from the result store at DIR\n\
                          \x20 --delta PREV       with --store: only serve keys from PREV's index.json\n\
                          \x20 --quiet            suppress the human-readable tables",
@@ -132,22 +124,6 @@ impl BinArgs {
                         }
                     }
                 }
-                "--solver-threads" => {
-                    i += 1;
-                    let Some(v) = args.get(i) else {
-                        eprintln!("error: --solver-threads needs a value");
-                        std::process::exit(2);
-                    };
-                    match v.parse::<usize>() {
-                        Ok(n) => solver_threads = Some(n),
-                        _ => {
-                            eprintln!(
-                                "error: invalid solver thread count {v} (expected an integer; 0 = auto)"
-                            );
-                            std::process::exit(2);
-                        }
-                    }
-                }
                 "--store" => {
                     i += 1;
                     match args.get(i) {
@@ -187,7 +163,6 @@ impl BinArgs {
             quiet,
             threads,
             batch,
-            solver_threads,
             sweep_shape: std::cell::Cell::new(None),
             store_dir,
             delta_path,
@@ -266,9 +241,6 @@ impl BinArgs {
         if let Some(k) = self.batch {
             fid.batch = k;
         }
-        if let Some(n) = self.solver_threads {
-            fid.solver_threads = n;
-        }
         fid
     }
 
@@ -297,9 +269,6 @@ impl BinArgs {
         }
         if let Some(k) = self.batch {
             manifest = manifest.with_config("batch", k);
-        }
-        if let Some(n) = self.solver_threads {
-            manifest = manifest.with_config("solver_threads", n);
         }
         if let Some((jobs, workers)) = self.sweep_shape.get() {
             manifest = manifest

@@ -20,7 +20,6 @@ use hotgauge_thermal::model::{step_lockstep, LockstepScratch, ThermalModel, Ther
 use hotgauge_thermal::solver::SolveStats;
 use hotgauge_thermal::stack::StackDescription;
 use hotgauge_thermal::warmup::{initial_state, Warmup};
-use hotgauge_thermal::SolverStrategy;
 use hotgauge_workloads::generator::WorkloadGen;
 use hotgauge_workloads::idle::IDLE_WARMUP_DURATION_S;
 use hotgauge_workloads::spec2006;
@@ -136,8 +135,8 @@ fn push_stats(h: &mut Fnv, s: &SolveStats) {
 /// substep, then [`THERMAL_STEPS`] lockstep steps of groups of 8 and 5
 /// lanes started from the warm state with distinct power maps. Every
 /// state and every solve's iterations and residual are hashed, so any
-/// change to assembly, the solver arm, the CG kernels or the lockstep path
-/// shows. The model, stack and solver setup mirror the co-simulation
+/// change to assembly, the CG kernels or the lockstep path
+/// shows. The model, stack and CG setup mirror the co-simulation
 /// pipeline's. `None` for an unknown preset (`smoke` or `fast`).
 pub fn thermal_hash(preset: &str, node: TechNode, ic_area_factor: f64) -> Option<u64> {
     let fidelity = match preset {
@@ -165,10 +164,11 @@ pub fn thermal_hash(preset: &str, node: TechNode, ic_area_factor: f64) -> Option
 
     let dt = cfg.window_seconds() / cfg.substeps as f64;
     let mut proto = ThermalSim::new(Arc::clone(&model), model.stack().ambient_c);
-    proto.set_strategy(cfg.solver);
     proto.cg.tolerance = 1e-6;
     proto.prepare(dt);
-    h.push(u64::from(proto.active_solver() == Some(SolverStrategy::Cg)));
+    // The goldens were recorded while this word flagged the CG arm, which
+    // every geometry here ran; CG is now the only arm.
+    h.push(1);
     proto.set_state(warm);
 
     let mut solo = proto.clone();

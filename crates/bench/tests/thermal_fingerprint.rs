@@ -2,8 +2,8 @@
 //! warm-up, solo steps and K = 8 / K = 5 lockstep steps, hashed by
 //! `hotgauge_bench::fingerprint::thermal_hash` (the `stream_hash --thermal`
 //! harness). The hashes were recorded with the CSR-backed CG kernels; any
-//! change to the RC-network assembly, the solver arm, the CG iteration or
-//! the lockstep path changes at least one.
+//! change to the RC-network assembly, the CG iteration or the lockstep path
+//! changes at least one.
 
 use hotgauge_bench::fingerprint::{thermal_hash, THERMAL_CASES};
 

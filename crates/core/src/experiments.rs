@@ -40,15 +40,10 @@ pub struct Fidelity {
     /// are solved up to this many at a time through the multi-RHS thermal
     /// path (`1` disables batching; results are identical at every width).
     pub batch: usize,
-    /// Shard width for the level-scheduled triangular sweeps of the direct
-    /// (skyline Cholesky) thermal solver: `0` = one per hardware thread,
-    /// `1` (the default) = serial sweeps. Results are bit-identical at
-    /// every setting; see DESIGN.md "Threading model".
-    pub solver_threads: usize,
 }
 
 impl Fidelity {
-    /// Fast preset for tests and quick sweeps (200 µm grid).
+    /// Fast preset for tests and quick sweeps (250 µm grid).
     pub fn fast() -> Self {
         Self {
             cell_um: 250.0,
@@ -60,7 +55,6 @@ impl Fidelity {
                 .map(|n| n.get())
                 .unwrap_or(4),
             batch: crate::sweep::DEFAULT_BATCH_WIDTH,
-            solver_threads: 1,
         }
     }
 
@@ -131,7 +125,6 @@ impl Fidelity {
         cfg.substeps = self.substeps;
         cfg.sample_instrs = self.sample_instrs;
         cfg.max_time_s = self.max_time_s;
-        cfg.solver_threads = self.solver_threads;
         cfg
     }
 }
@@ -751,7 +744,6 @@ mod tests {
             max_time_s: 1.5e-3,
             threads: 4,
             batch: crate::sweep::DEFAULT_BATCH_WIDTH,
-            solver_threads: 1,
         }
     }
 

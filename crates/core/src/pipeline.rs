@@ -86,9 +86,10 @@ pub struct SimConfig {
     pub border_mm: f64,
     /// Thermal substeps per 1 M-cycle window (4 ⇒ 50 µs TUH resolution).
     pub substeps: usize,
-    /// Linear solver for the backward-Euler steps. `DirectCholesky` factors
-    /// once per run and falls back to CG when the matrix is too large for
-    /// the factorization budget.
+    /// Inert: CG is the only thermal solver, so no value selects anything.
+    /// Kept, with its default, so that every serialized config and run key
+    /// is unchanged while `figbench`'s probe still reads it; it goes when
+    /// the benchmark stops calling the solver knobs (ROADMAP.md, item 3).
     pub solver: SolverStrategy,
     /// Instructions sampled by the interval core per window; the sampled
     /// rates represent the whole window (Sniper-style sampling).
@@ -124,10 +125,8 @@ pub struct SimConfig {
     /// The per-substep analysis stage's sub-threshold prefilter (see
     /// [`AnalysisConfig`]).
     pub analysis: AnalysisConfig,
-    /// Thread budget for the direct solver's level-scheduled triangular
-    /// sweeps (`0` = one per hardware thread, `1` = serial). This never
-    /// changes any result — the sweeps are bit-identical at every budget
-    /// (see DESIGN.md, "Threading model").
+    /// Inert: no thermal solver spawns threads. Kept, with its default, for
+    /// the same reason as [`SimConfig::solver`].
     pub solver_threads: usize,
 }
 
@@ -288,7 +287,7 @@ pub fn run_many(cfgs: Vec<SimConfig>, threads: usize) -> Vec<RunResult> {
 
 /// A rejected [`SimConfig`]. These are the user-input-reachable failure
 /// modes (CLI flags, sweep manifests); bench bins map them to exit code 2.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// The benchmark name is not `idle`, a known SPEC2006 proxy, or a
     /// server-trace workload.
@@ -297,6 +296,15 @@ pub enum ConfigError {
     TargetCoreOutOfRange(usize),
     /// `substeps` must be at least 1.
     ZeroSubsteps,
+    /// `cell_um` must be finite and positive.
+    InvalidCellSize(f64),
+    /// `max_time_s` must be finite and positive.
+    InvalidHorizon(f64),
+    /// `ic_area_factor` must be finite and at least 1 (white space is only
+    /// ever added).
+    InvalidIcAreaFactor(f64),
+    /// Every `unit_scales` factor must be finite and positive.
+    InvalidUnitScale(UnitKind, f64),
     /// A `track_units` entry does not name a floorplan unit.
     UnknownTrackedUnit(String),
 }
@@ -317,6 +325,22 @@ impl std::fmt::Display for ConfigError {
                 )
             }
             ConfigError::ZeroSubsteps => write!(f, "substeps must be >= 1"),
+            ConfigError::InvalidCellSize(um) => {
+                write!(f, "cell size {um} um must be a finite number > 0")
+            }
+            ConfigError::InvalidHorizon(s) => {
+                write!(f, "horizon {s} s must be a finite number > 0")
+            }
+            ConfigError::InvalidIcAreaFactor(x) => {
+                write!(f, "IC area factor {x} must be a finite number >= 1")
+            }
+            ConfigError::InvalidUnitScale(kind, x) => {
+                write!(
+                    f,
+                    "scale factor {x} for unit {} must be a finite number > 0",
+                    kind.label()
+                )
+            }
             ConfigError::UnknownTrackedUnit(name) => {
                 write!(f, "tracked unit `{name}` is not a floorplan unit")
             }
@@ -327,7 +351,7 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// The assembled co-simulation state. `Clone` so construction (floorplan,
-/// power model, warm-up, solver factorization) can be paid once and the
+/// power model, warm-up, thermal system assembly) can be paid once and the
 /// stepping loop repeated from the same initial state — benches and sweeps
 /// over per-run knobs rely on this.
 #[derive(Clone)]
@@ -381,7 +405,7 @@ impl CoSimulation {
     /// model parts of a lockstep batch mate (see [`crate::sweep::run_batch`]).
     ///
     /// With `geom: Some(..)` the floorplan, rasterized grids, power model,
-    /// and prepared thermal solver are adopted instead of rebuilt; the
+    /// and prepared thermal system are adopted instead of rebuilt; the
     /// thermal *state* is reset to exactly the fresh-construction initial
     /// condition, so the run is bit-identical to one built from scratch.
     /// The caller must only pass parts produced under the same
@@ -395,6 +419,22 @@ impl CoSimulation {
         }
         if cfg.substeps < 1 {
             return Err(ConfigError::ZeroSubsteps);
+        }
+        if !(cfg.cell_um.is_finite() && cfg.cell_um > 0.0) {
+            return Err(ConfigError::InvalidCellSize(cfg.cell_um));
+        }
+        if !(cfg.max_time_s.is_finite() && cfg.max_time_s > 0.0) {
+            return Err(ConfigError::InvalidHorizon(cfg.max_time_s));
+        }
+        if !(cfg.ic_area_factor.is_finite() && cfg.ic_area_factor >= 1.0) {
+            return Err(ConfigError::InvalidIcAreaFactor(cfg.ic_area_factor));
+        }
+        if let Some(&(kind, factor)) = cfg
+            .unit_scales
+            .iter()
+            .find(|(_, f)| !(f.is_finite() && *f > 0.0))
+        {
+            return Err(ConfigError::InvalidUnitScale(kind, factor));
         }
         if benchmark_profile(&cfg.benchmark).is_none() {
             return Err(ConfigError::UnknownBenchmark(cfg.benchmark.clone()));
@@ -458,11 +498,11 @@ impl CoSimulation {
             IDLE_ACTIVITY_SAMPLE_INSTRS,
         ));
 
-        // Thermal initial condition. An adopted solver keeps its prepared
-        // system (the backward-Euler matrix and Cholesky factor / CG
-        // workspace are functions of geometry + dt + strategy only, all part
-        // of the geometry key) but is reset to the uniform ambient state a
-        // fresh `ThermalSim::new` starts from, so the warm-up below — and
+        // Thermal initial condition. An adopted simulation keeps its
+        // prepared system (the backward-Euler matrix and CG workspace are
+        // functions of geometry + dt only, both part of the geometry key)
+        // but is reset to the uniform ambient state a fresh
+        // `ThermalSim::new` starts from, so the warm-up below — and
         // everything after it — sees exactly the fresh-construction state.
         // This reset is the only state one lane inherits from another.
         let mut thermal = match adopted_thermal {
@@ -479,27 +519,21 @@ impl CoSimulation {
                 );
                 let model = ThermalModel::new(stack);
                 let ambient = model.stack().ambient_c;
-                let mut t = ThermalSim::new(model, ambient);
-                t.set_strategy(cfg.solver);
-                t
+                ThermalSim::new(model, ambient)
             }
         };
         // Backward-Euler steps are solved to a relative residual that is far
         // below per-step temperature changes; tighter tolerances cost CG
         // iterations without changing any metric.
         thermal.cg.tolerance = 1e-6;
-        // Applied to adopted solvers too: the sweep thread budget is a
-        // per-run knob, not part of the geometry key (it never changes
-        // results, so sharing a solver across budgets is sound).
-        thermal.set_solver_threads(cfg.solver_threads);
         if cfg.warmup == Warmup::Idle {
             let state = warmup_state_cached(&cfg, &fp, &grid, &power, &thermal, &idle_act);
             thermal.set_state(state);
         }
-        // Prepare the solver for the run's substep size now, so the one-time
-        // factorization cost lands in construction rather than the first
-        // step. A no-op on adopted solvers (same dt): batch mates share lane
-        // 0's prepared system.
+        // Prepare the system for the run's substep size now, so the one-time
+        // assembly lands in construction rather than the first step. A no-op
+        // on adopted simulations (same dt): batch mates share lane 0's
+        // prepared system.
         thermal.prepare(cfg.window_seconds() / cfg.substeps as f64);
 
         // The workload stream: replayed from the trace table when another
@@ -548,12 +582,6 @@ impl CoSimulation {
     /// The transient thermal simulation.
     pub fn thermal(&self) -> &ThermalSim {
         &self.thermal
-    }
-
-    /// Mutable access to the thermal simulation, e.g. to tighten the CG
-    /// tolerance for solver cross-validation runs.
-    pub fn thermal_mut(&mut self) -> &mut ThermalSim {
-        &mut self.thermal
     }
 
     fn idle_power_map(
@@ -653,7 +681,7 @@ impl CoSimulation {
 }
 
 /// The geometry-keyed model parts of one co-simulation — everything that
-/// depends only on the floorplan/grid/solver shape of a [`SimConfig`], not
+/// depends only on the floorplan/grid shape of a [`SimConfig`], not
 /// on its workload or seed. A lockstep batch mate with lane 0's
 /// [`crate::sweep::geom_key`] adopts a clone of lane 0's parts, skipping the
 /// floorplan build, the two rasterizations, the power-model assembly and the
@@ -679,7 +707,7 @@ pub(crate) struct GeomParts {
 /// is one lane, whose thermal step [`step_lockstep`] routes straight to
 /// [`ThermalSim::step`], and the lockstep solver applies each lane's
 /// arithmetic in the single-RHS element order. Lanes whose thermal systems
-/// are not homogeneous (another grid or solver state) are stepped solo
+/// are not homogeneous (another grid or CG config) are stepped solo
 /// inside [`step_lockstep`]: still exact, without the bandwidth win.
 ///
 /// `on_lane_done` fires with the lane index as each lane finishes (sweep
@@ -1159,59 +1187,6 @@ mod tests {
         let (e, counts) = r.delta_hist.expect("delta hist requested");
         assert_eq!(e.len(), 41);
         assert_eq!(counts.iter().sum::<usize>(), cells * r.records.len());
-    }
-
-    #[test]
-    fn default_direct_solver_falls_back_at_production_resolution() {
-        // The 300 µm test grid's RCM envelope is ~280 entries/row — far
-        // past the ~48/row crossover where two triangular sweeps stop
-        // beating warm-started CG — so the default DirectCholesky strategy
-        // must transparently prepare CG instead.
-        let cfg = quick_cfg();
-        assert_eq!(cfg.solver, SolverStrategy::DirectCholesky);
-        let sim = CoSimulation::new(cfg);
-        assert_eq!(sim.thermal().active_solver(), Some(SolverStrategy::Cg));
-    }
-
-    #[test]
-    fn direct_and_cg_cosim_fields_agree_to_microkelvin() {
-        // A coarse grid small enough to factor quickly in debug builds.
-        let mut cfg = quick_cfg();
-        cfg.cell_um = 400.0;
-        cfg.border_mm = 2.0;
-        cfg.max_time_s = 1e-3; // 5 windows
-        let dt = cfg.window_seconds() / cfg.substeps as f64;
-
-        let mut direct = CoSimulation::new(cfg.clone());
-        // Lift the profile budget so the direct path genuinely factors
-        // (the default crossover would fall back to CG here).
-        direct.thermal_mut().chol = hotgauge_thermal::chol::CholOptions::unbounded();
-        direct
-            .thermal_mut()
-            .set_strategy(SolverStrategy::DirectCholesky);
-        direct.thermal_mut().prepare(dt);
-        assert_eq!(
-            direct.thermal().active_solver(),
-            Some(SolverStrategy::DirectCholesky)
-        );
-        let rd = direct.run();
-
-        cfg.solver = SolverStrategy::Cg;
-        let mut cg = CoSimulation::new(cfg);
-        // The production CG tolerance (1e-6 relative residual) leaves
-        // ~1e-4 °C of solver error; tighten it so this comparison measures
-        // the direct solver against a near-exact reference.
-        cg.thermal_mut().cg.tolerance = 1e-12;
-        let rc = cg.run();
-
-        assert_eq!(rd.records.len(), rc.records.len());
-        for (a, b) in rd.final_frame.temps.iter().zip(&rc.final_frame.temps) {
-            assert!((a - b).abs() < 1e-6, "direct {a} vs cg {b}");
-        }
-        for (a, b) in rd.records.iter().zip(&rc.records) {
-            assert!((a.max_temp_c - b.max_temp_c).abs() < 1e-6);
-            assert!((a.mean_temp_c - b.mean_temp_c).abs() < 1e-6);
-        }
     }
 
     #[test]

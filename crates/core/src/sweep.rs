@@ -5,7 +5,7 @@
 //! of workers claiming work items, widest first, from one shared counter.
 //! Each item is one [`run_batch`] call, which builds every lane from its
 //! config: lane 0 builds its geometry (floorplan, rasterized grids, power
-//! model, prepared thermal solver) and same-geometry mates clone lane 0's
+//! model, prepared thermal system) and same-geometry mates clone lane 0's
 //! parts. Nothing outlives the item, so a worker carries no state from one
 //! item to the next.
 //!
@@ -49,21 +49,20 @@ use crate::pipeline::{run_lanes, CoSimulation, RunResult, SimConfig, SweepProgre
 pub const DEFAULT_BATCH_WIDTH: usize = 8;
 
 /// The geometry key of a config: every [`SimConfig`] field the floorplan,
-/// rasterized grids, power model, thermal stack, or prepared solver depends
-/// on. Two configs with equal keys build bit-identical model parts, so the
-/// executor groups jobs by it and [`run_batch`] lets a lane of lane 0's key
-/// clone lane 0's parts. Fields that only shape the *run* (benchmark, seed,
-/// warm-up, thresholds, horizons, analysis strategy) are deliberately
-/// excluded.
+/// rasterized grids, power model, thermal stack, or prepared thermal system
+/// depends on. Two configs with equal keys build bit-identical model parts,
+/// so the executor groups jobs by it and [`run_batch`] lets a lane of lane
+/// 0's key clone lane 0's parts. Fields that only shape the *run*
+/// (benchmark, seed, warm-up, thresholds, horizons, analysis strategy) are
+/// deliberately excluded.
 pub(crate) fn geom_key(cfg: &SimConfig) -> String {
     use std::fmt::Write;
     let mut key = format!(
-        "{:?}|{}|{}|{}|{}|{}",
+        "{:?}|{}|{}|{}|{}",
         cfg.node,
         cfg.cell_um.to_bits(),
         cfg.border_mm.to_bits(),
         cfg.substeps,
-        cfg.solver,
         cfg.ic_area_factor.to_bits(),
     );
     for (kind, factor) in &cfg.unit_scales {

@@ -72,7 +72,7 @@ pub struct GateConfig {
     /// `<span>.p99_s` is compared at the given relative tolerance, and the
     /// gate *fails* when the span is missing from either manifest — unlike
     /// ordinary metrics, which inform on one-sided presence. Use this to
-    /// pin tail latency of a hot span (e.g. `solver.tri_sweep`) in CI.
+    /// pin tail latency of a hot span (e.g. `solver.multi_rhs`) in CI.
     pub gate_span_p99: Vec<(String, f64)>,
 }
 
@@ -1168,7 +1168,7 @@ mod tests {
             "--gate-counter".to_string(),
             "analysis.simd_rows".to_string(),
             "--gate-span-p99".to_string(),
-            "solver.tri_sweep=10".to_string(),
+            "solver.multi_rhs=10".to_string(),
             "--quiet".to_string(),
         ]);
         let parsed = match ok {
@@ -1186,7 +1186,7 @@ mod tests {
             "prefixes must not gate everything"
         );
         assert_eq!(parsed.cfg.gate_span_p99.len(), 1);
-        assert_eq!(parsed.cfg.gate_span_p99[0].0, "solver.tri_sweep");
+        assert_eq!(parsed.cfg.gate_span_p99[0].0, "solver.multi_rhs");
         assert!((parsed.cfg.gate_span_p99[0].1 - 0.10).abs() < 1e-12);
         assert!((parsed.slowdown - 1.5).abs() < 1e-12);
         assert!(parsed.quiet);

@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize, Value};
 
 /// Domain/version tag mixed into every key. Bumping it invalidates every
 /// previously stored key (forcing re-simulation, never wrong results).
-pub const KEY_DOMAIN: &str = "hotgauge.store.key.v3";
+pub const KEY_DOMAIN: &str = "hotgauge.store.key.v4";
 
 /// Hex width of a key: 128 FNV-1a bits.
 pub const KEY_HEX_LEN: usize = 32;

@@ -9,12 +9,11 @@
 //!
 //! * [`materials`] — thermal properties (Table II values);
 //! * [`stack`] — layer stack and domain description (Fig. 4);
-//! * [`sparse`] / [`stencil`] / [`solver`] / [`chol`] — CSR assembly, the
-//!   7-point stencil storage CG runs on, preconditioned CG, and the
-//!   factor-once skyline Cholesky for the constant backward-Euler system;
+//! * [`sparse`] / [`stencil`] / [`solver`] — CSR assembly, the 7-point
+//!   stencil storage the solver runs on, and warm-started
+//!   Jacobi-preconditioned CG, the only linear solver;
 //! * [`model`] — RC-network assembly, [`model::ThermalModel`] (steady) and
-//!   [`model::ThermalSim`] (transient, backward Euler, solver selected by
-//!   [`model::SolverStrategy`]);
+//!   [`model::ThermalSim`] (transient, backward Euler, solved by CG);
 //! * [`frame`] — active-layer temperature snapshots consumed by the hotspot
 //!   metrics;
 //! * [`analysis`] — Ψ_j,a and TDP (Table IV);
@@ -44,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
-pub mod chol;
 pub mod export;
 pub mod frame;
 pub mod materials;
@@ -56,11 +54,10 @@ pub mod stencil;
 pub mod warmup;
 
 pub use crate::analysis::{psi_tdp, PsiTdp, PAPER_THERMAL_BUDGET_C};
-pub use crate::chol::{CholOptions, CholeskyFactor, FactorError};
 pub use crate::export::{frame_to_csv, frame_to_ppm, write_ppm, ColorMap};
 pub use crate::frame::ThermalFrame;
 pub use crate::materials::Material;
-pub use crate::model::{step_lockstep, LockstepScratch, SolverStrategy, ThermalModel, ThermalSim};
+pub use crate::model::{step_lockstep, LockstepScratch, ThermalModel, ThermalSim};
 pub use crate::solver::{
     solve_cg, solve_cg_multi, solve_cg_with, CgConfig, CgWorkspace, MultiCgWorkspace, SolveStats,
     SpdOperator, MAX_LOCKSTEP_WIDTH,
@@ -72,10 +69,9 @@ pub use crate::warmup::{initial_state, Warmup};
 /// Convenient glob import of the most used types.
 pub mod prelude {
     pub use crate::analysis::{psi_tdp, PsiTdp, PAPER_THERMAL_BUDGET_C};
-    pub use crate::chol::{CholOptions, CholeskyFactor};
     pub use crate::frame::ThermalFrame;
     pub use crate::materials::Material;
-    pub use crate::model::{SolverStrategy, ThermalModel, ThermalSim};
+    pub use crate::model::{ThermalModel, ThermalSim};
     pub use crate::solver::{CgConfig, CgWorkspace, SolveStats};
     pub use crate::stack::{Layer, StackDescription};
     pub use crate::warmup::{initial_state, Warmup};

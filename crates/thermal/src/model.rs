@@ -13,22 +13,18 @@
 //! * every other boundary is adiabatic (as in 3D-ICE's default).
 //!
 //! The transient problem `C dT/dt = −G T + q` is integrated with backward
-//! Euler, giving the SPD system `(C/Δt + G) T' = C/Δt·T + q`. Because the
-//! system matrix is constant for a fixed `Δt`, the solve is dispatched
-//! through a [`SolverStrategy`]: a factor-once sparse Cholesky
-//! ([`crate::chol`]) that reduces each step to two triangular sweeps, or
-//! warm-started preconditioned CG ([`crate::solver`]). The direct path
-//! automatically falls back to CG when the factorization rejects the matrix
-//! (envelope over budget — see DESIGN.md, "Solver strategy").
+//! Euler, giving the SPD system `(C/Δt + G) T' = C/Δt·T + q`. The system
+//! matrix is constant for a fixed `Δt`, so it is assembled once per `Δt`
+//! together with its Jacobi preconditioner, and every step solves it with
+//! warm-started preconditioned CG ([`crate::solver`]), the only solver.
 //!
 //! Both `G` and every `C/Δt + G` are held as a [`Stencil7`]: the network is
 //! a 7-point stencil on the `nx × ny × levels` grid. The assembly still goes
 //! through CSR triplets, which fixes the bits of every summed diagonal, and
-//! is converted once; a CSR copy is rebuilt only as the Cholesky input.
+//! is converted once.
 
 use std::sync::Arc;
 
-use crate::chol::{CholOptions, CholeskyFactor};
 use crate::frame::ThermalFrame;
 use crate::solver::{
     solve_cg, solve_cg_multi, solve_cg_with, CgConfig, CgWorkspace, MultiCgWorkspace, SolveStats,
@@ -39,45 +35,20 @@ use crate::stack::StackDescription;
 use crate::stencil::Stencil7;
 use serde::{Deserialize, Serialize};
 
-/// Which linear solver [`ThermalSim::step`] uses for the constant
-/// backward-Euler system.
+/// A retired solver choice. CG on the stencil is the only thermal solver,
+/// so neither variant selects anything.
+///
+/// The type stays only because `SimConfig::solver` still serializes it
+/// (keeping every run key's input unchanged) and `figbench`'s probe still
+/// passes it to [`ThermalSim::set_strategy`]. It goes when the benchmark
+/// stops calling the solver knobs (ROADMAP.md, item 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SolverStrategy {
-    /// Factor `C/Δt + G` once (RCM + skyline Cholesky), then two triangular
-    /// sweeps per step. Falls back to [`SolverStrategy::Cg`] when the
-    /// factorization rejects the matrix (profile over budget / not SPD).
+    /// The default, which every shipped config carries.
     #[default]
     DirectCholesky,
-    /// Warm-started Jacobi-preconditioned conjugate gradients.
+    /// The other serialized value.
     Cg,
-}
-
-impl SolverStrategy {
-    /// The CLI spelling of this strategy (`direct` / `cg`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SolverStrategy::DirectCholesky => "direct",
-            SolverStrategy::Cg => "cg",
-        }
-    }
-}
-
-impl std::fmt::Display for SolverStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for SolverStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "direct" => Ok(SolverStrategy::DirectCholesky),
-            "cg" => Ok(SolverStrategy::Cg),
-            other => Err(format!("unknown solver '{other}' (expected direct|cg)")),
-        }
-    }
 }
 
 /// Assembled thermal RC network for a [`StackDescription`].
@@ -150,7 +121,9 @@ impl ThermalModel {
         let thick = |l: usize| -> f64 { stack.layers[level_layer[l]].sublayer_thickness() };
         let node = |l: usize, iy: usize, ix: usize| -> usize { (l * ny + iy) * nx + ix };
 
-        let mut builder = TripletBuilder::new(n);
+        // A node adds at most three edges (+x, +y, +z) of four triplets
+        // each; a top node's film adds one triplet in place of +z.
+        let mut builder = TripletBuilder::with_capacity(n, 12 * n);
         let mut cap = vec![0.0f64; n];
         let mut conv = vec![0.0f64; n];
 
@@ -321,66 +294,43 @@ impl ThermalModel {
     }
 }
 
-/// The solver state cached alongside the backward-Euler matrix: either a
-/// Cholesky factor plus sweep scratch, or a CG workspace.
-#[derive(Debug, Clone)]
-enum SysSolver {
-    Direct {
-        factor: Arc<CholeskyFactor>,
-        work: Vec<f64>,
-    },
-    Cg(CgWorkspace),
-}
-
-/// Per-`Δt` cache: the assembled system matrix and its prepared solver.
-/// The matrix is `Arc`-shared so cloned lockstep lanes (and the lane-shared
-/// multi-RHS solve) reference one copy instead of duplicating it per lane.
+/// Per-`Δt` cache: the assembled system matrix and the CG workspace
+/// prepared for it. The matrix is `Arc`-shared so cloned lockstep lanes
+/// (and the lane-shared multi-RHS solve) reference one copy instead of
+/// duplicating it per lane.
 #[derive(Debug, Clone)]
 struct SysCache {
     dt: f64,
     m: Arc<Stencil7>,
-    solver: SysSolver,
+    ws: CgWorkspace,
 }
 
 /// A transient thermal simulation: a [`ThermalModel`] plus the evolving
 /// temperature state and a cached backward-Euler system matrix with its
-/// prepared solver (factorization or CG workspace).
+/// CG workspace.
 ///
 /// Everything immutable is shared by a clone: the model, the system matrix
-/// and the factor or CG preconditioner sit behind `Arc`s, so cloned
-/// lockstep lanes and the idle warm-up hold one copy per geometry. A clone
-/// owns only its state vectors and allocates solo CG scratch on its first
-/// solo step.
+/// and the CG preconditioner sit behind `Arc`s, so cloned lockstep lanes
+/// and the idle warm-up hold one copy per geometry. A clone owns only its
+/// state vectors and allocates solo CG scratch on its first solo step.
 #[derive(Debug, Clone)]
 pub struct ThermalSim {
     model: Arc<ThermalModel>,
     /// Current temperatures, °C, full domain.
     t: Vec<f64>,
-    /// State one step ago, for the CG path's linear-extrapolation warm
-    /// start (valid only when `have_prev`).
+    /// State one step ago, for the linear-extrapolation warm start (valid
+    /// only when `have_prev`).
     prev: Vec<f64>,
     have_prev: bool,
     /// Cached system for the last `Δt` seen.
     sys: Option<SysCache>,
-    strategy: SolverStrategy,
     /// CG configuration used for the implicit solves (and steady states).
     pub cg: CgConfig,
-    /// Factorization budget for the direct strategy.
-    pub chol: CholOptions,
-    /// Thread budget for the level-scheduled triangular sweeps of the
-    /// direct solver (`0` = one per hardware thread, `1` = serial).
-    /// Threading never changes results — the sweeps are bit-identical at
-    /// every budget — so this is purely a performance knob.
-    solver_threads: usize,
 }
 
 impl ThermalSim {
     /// Creates a simulation with all nodes at `init_c` °C. Pass an
     /// `Arc<ThermalModel>` to share one model between simulations.
-    ///
-    /// Uses [`SolverStrategy::Cg`] by default for backward compatibility;
-    /// the co-sim pipeline opts into the direct solver through
-    /// [`ThermalSim::set_strategy`].
     pub fn new(model: impl Into<Arc<ThermalModel>>, init_c: f64) -> Self {
         let model = model.into();
         let n = model.node_count();
@@ -390,61 +340,24 @@ impl ThermalSim {
             prev: vec![init_c; n],
             have_prev: false,
             sys: None,
-            strategy: SolverStrategy::Cg,
             cg: CgConfig {
                 tolerance: 1e-7,
                 max_iterations: 20_000,
             },
-            chol: CholOptions::default(),
-            solver_threads: 1,
         }
     }
 
-    /// The configured triangular-sweep thread budget (`0` = auto).
-    pub fn solver_threads(&self) -> usize {
-        self.solver_threads
-    }
+    /// Does nothing: CG is the only solver. Kept only because `figbench`'s
+    /// probe still calls it; it goes when the benchmark stops calling the
+    /// solver knobs (ROADMAP.md, item 3).
+    #[deprecated(note = "CG is the only thermal solver; this call does nothing")]
+    pub fn set_strategy(&mut self, _strategy: SolverStrategy) {}
 
-    /// Sets the triangular-sweep thread budget: `0` resolves to one thread
-    /// per hardware thread, `1` forces the serial sweeps, `N` allows up to
-    /// `N` scoped shards per dependency level. Results are bit-identical at
-    /// every setting, so no prepared state is invalidated.
-    pub fn set_solver_threads(&mut self, threads: usize) {
-        self.solver_threads = threads;
-    }
-
-    /// The thread budget for the next triangular sweep: the configured
-    /// budget, with `0` resolved to one thread per hardware thread.
-    fn effective_solver_threads(&self) -> usize {
-        match self.solver_threads {
-            0 => crate::sparse::hardware_threads(),
-            n => n,
-        }
-    }
-
-    /// The configured solver strategy (what was requested, not necessarily
-    /// what runs — see [`ThermalSim::active_solver`]).
-    pub fn strategy(&self) -> SolverStrategy {
-        self.strategy
-    }
-
-    /// Selects the solver strategy, invalidating any prepared system.
-    /// Also useful after changing [`ThermalSim::chol`] budgets to force
-    /// re-preparation with the new options.
-    pub fn set_strategy(&mut self, strategy: SolverStrategy) {
-        self.strategy = strategy;
-        self.sys = None;
-    }
-
-    /// The solver actually in use for the prepared system, after any
-    /// direct-to-CG fallback. `None` until [`ThermalSim::prepare`] or the
-    /// first [`ThermalSim::step`].
-    pub fn active_solver(&self) -> Option<SolverStrategy> {
-        self.sys.as_ref().map(|c| match c.solver {
-            SysSolver::Direct { .. } => SolverStrategy::DirectCholesky,
-            SysSolver::Cg(_) => SolverStrategy::Cg,
-        })
-    }
+    /// Does nothing: no solver spawns threads. Kept only because
+    /// `figbench`'s probe still calls it; it goes when the benchmark stops
+    /// calling the solver knobs (ROADMAP.md, item 3).
+    #[deprecated(note = "no thermal solver spawns threads; this call does nothing")]
+    pub fn set_solver_threads(&mut self, _threads: usize) {}
 
     /// The underlying model, shared with this simulation's clones.
     pub fn model(&self) -> &Arc<ThermalModel> {
@@ -474,10 +387,9 @@ impl ThermalSim {
         self.have_prev = false;
     }
 
-    /// Ensures the backward-Euler system for `dt` is assembled and its
-    /// solver prepared (Cholesky factorization or CG workspace). Called
-    /// implicitly by [`ThermalSim::step`]; call it eagerly to move the
-    /// one-time factorization cost out of the first step.
+    /// Ensures the backward-Euler system for `dt` is assembled and its CG
+    /// workspace prepared. Called implicitly by [`ThermalSim::step`]; call
+    /// it eagerly to move the one-time assembly out of the first step.
     ///
     /// # Panics
     ///
@@ -492,33 +404,16 @@ impl ThermalSim {
         let mut m = self.model.g.clone();
         let cdt: Vec<f64> = self.model.cap.iter().map(|c| c / dt).collect();
         m.add_to_diagonal(&cdt);
-        let m = Arc::new(m);
-        let solver = match self.strategy {
-            SolverStrategy::Cg => SysSolver::Cg(CgWorkspace::new(&*m)),
-            // The factor takes CSR; the copy lives only for the attempt.
-            SolverStrategy::DirectCholesky => match CholeskyFactor::factor(&m.to_csr(), &self.chol)
-            {
-                Ok(f) => SysSolver::Direct {
-                    factor: Arc::new(f),
-                    work: vec![0.0; m.n()],
-                },
-                Err(_) => {
-                    // Envelope over budget (or numerically not SPD): the
-                    // crossover where triangular sweeps stream more memory
-                    // than warm-started CG touches. Fall back.
-                    hotgauge_telemetry::counter!("thermal.direct_fallbacks", 1);
-                    SysSolver::Cg(CgWorkspace::new(&*m))
-                }
-            },
-        };
-        self.sys = Some(SysCache { dt, m, solver });
+        let ws = CgWorkspace::new(&m);
+        self.sys = Some(SysCache {
+            dt,
+            m: Arc::new(m),
+            ws,
+        });
     }
 
     /// Advances the simulation by `dt` seconds with the given die-region
     /// active-layer power map (watts per cell), using backward Euler.
-    ///
-    /// Direct solves are exact (to rounding) and report zero iterations and
-    /// zero residual in the returned stats.
     pub fn step(&mut self, die_power: &[f64], dt: f64) -> SolveStats {
         // Backward-Euler is unconditionally stable but only for a real,
         // positive step; a zero/negative/NaN dt silently corrupts the
@@ -534,42 +429,27 @@ impl ThermalSim {
         for (i, r) in rhs.iter_mut().enumerate() {
             *r += self.model.cap[i] / dt * self.t[i] + self.model.conv[i] * amb;
         }
-        let solve_threads = self.effective_solver_threads();
+        // Warm start by linear extrapolation: the guess 2·Tₙ − Tₙ₋₁ has
+        // O(Δt²) error against the smooth thermal trajectory (vs O(Δt) for
+        // plain Tₙ), which saves CG iterations. The previous state is saved
+        // in the same pass.
+        for (ti, pi) in self.t.iter_mut().zip(self.prev.iter_mut()) {
+            let tn = *ti;
+            if self.have_prev {
+                *ti = 2.0 * tn - *pi;
+            }
+            *pi = tn;
+        }
+        self.have_prev = true;
         #[expect(
             clippy::expect_used,
-            reason = "prepare(dt) on the line above always fills self.sys"
+            reason = "prepare(dt) above always fills self.sys"
         )]
         let cache = self.sys.as_mut().expect("system prepared above");
-        match &mut cache.solver {
-            SysSolver::Direct { factor, work } => {
-                self.have_prev = false;
-                factor.solve_with_threads(&rhs, &mut self.t, work, solve_threads);
-                hotgauge_telemetry::counter!("thermal.direct_solves", 1);
-                SolveStats {
-                    iterations: 0,
-                    relative_residual: 0.0,
-                    converged: true,
-                }
-            }
-            SysSolver::Cg(ws) => {
-                // Warm start by linear extrapolation: the guess 2·Tₙ − Tₙ₋₁
-                // has O(Δt²) error against the smooth thermal trajectory
-                // (vs O(Δt) for plain Tₙ), which saves CG iterations. The
-                // previous state is saved in the same pass.
-                for (ti, pi) in self.t.iter_mut().zip(self.prev.iter_mut()) {
-                    let tn = *ti;
-                    if self.have_prev {
-                        *ti = 2.0 * tn - *pi;
-                    }
-                    *pi = tn;
-                }
-                self.have_prev = true;
-                let stats = solve_cg_with(&*cache.m, &rhs, &mut self.t, &self.cg, ws);
-                hotgauge_telemetry::counter!("thermal.cg_iterations", stats.iterations);
-                hotgauge_telemetry::counter!("thermal.cg_residual", stats.relative_residual);
-                stats
-            }
-        }
+        let stats = solve_cg_with(&*cache.m, &rhs, &mut self.t, &self.cg, &mut cache.ws);
+        hotgauge_telemetry::counter!("thermal.cg_iterations", stats.iterations);
+        hotgauge_telemetry::counter!("thermal.cg_residual", stats.relative_residual);
+        stats
     }
 
     /// Advances by `dt` split into `substeps` equal backward-Euler steps
@@ -620,18 +500,16 @@ impl ThermalSim {
 }
 
 /// Reusable scratch for [`step_lockstep`]: the node-major lane-minor SoA
-/// right-hand-side and solution blocks, the triangular-sweep work buffer,
-/// and the lane-shared multi-RHS CG workspace. Buffers are sized lazily on
-/// first use and grown whenever the lane count or grid changes; the run
-/// loop keeps one scratch per batch, for all of the batch's substeps.
+/// right-hand-side and solution blocks and the lane-shared multi-RHS CG
+/// workspace. Buffers are sized lazily on first use and grown whenever the
+/// lane count or grid changes; the run loop keeps one scratch per batch,
+/// for all of the batch's substeps.
 #[derive(Debug, Default)]
 pub struct LockstepScratch {
     /// `[n × k]` SoA right-hand sides, `rhs[node*k + lane]`.
     rhs: Vec<f64>,
     /// `[n × k]` SoA solutions / warm-start guesses.
     x: Vec<f64>,
-    /// `[n × k]` permuted scratch for the direct triangular sweeps.
-    work: Vec<f64>,
     /// Full-domain heat-vector staging for one lane at a time.
     q: Vec<f64>,
     /// CG workspace keyed by the system matrix it was preconditioned for
@@ -649,21 +527,20 @@ impl LockstepScratch {
 }
 
 /// Advances `k` same-system simulations by `dt` in lockstep: one multi-RHS
-/// solve over a `[n × k]` SoA temperature block instead of `k` independent
-/// solves, streaming the factor / matrix index lists once for all lanes.
+/// CG solve over a `[n × k]` SoA temperature block instead of `k`
+/// independent solves, streaming the matrix once for all lanes.
 ///
 /// Every lane replicates the exact floating-point operation sequence of a
-/// solo [`ThermalSim::step`] — the rhs build, the CG warm-start
-/// extrapolation, and the per-lane solve columns (see [`solve_cg_multi`] and
-/// [`CholeskyFactor::solve_multi`]) — so each lane's state and stats are
-/// bitwise identical to stepping that lane alone. Lanes whose prepared
-/// systems turn out heterogeneous (a different stack, solver arm, or CG
-/// config) fall back to per-lane solo steps, which is trivially exact.
+/// solo [`ThermalSim::step`] — the rhs build, the warm-start extrapolation,
+/// and the per-lane solve columns (see [`solve_cg_multi`]) — so each lane's
+/// state and stats are bitwise identical to stepping that lane alone.
+/// Lanes that turn out heterogeneous (a different stack or CG config) fall
+/// back to per-lane solo steps, which is trivially exact.
 ///
 /// The solve is shared through lane 0's cached system. Lanes built from an
-/// equal stack under the same solver configuration have bitwise identical
-/// matrices (and factors) by deterministic construction; equal node counts
-/// alone do not suffice, since two cell sizes can round to the same grid.
+/// equal stack have bitwise identical matrices by deterministic
+/// construction; equal node counts alone do not suffice, since two cell
+/// sizes can round to the same grid.
 ///
 /// Returns per-lane stats borrowed from `scratch`.
 ///
@@ -694,13 +571,10 @@ pub fn step_lockstep<'a>(
         sim.prepare(dt);
     }
     let model0 = Arc::clone(&sims[0].model);
-    let solver0 = sims[0].active_solver();
     let cg0 = sims[0].cg;
-    let homogeneous = sims.iter().all(|s| {
-        (Arc::ptr_eq(&s.model, &model0) || s.model.stack == model0.stack)
-            && s.active_solver() == solver0
-            && s.cg == cg0
-    });
+    let homogeneous = sims
+        .iter()
+        .all(|s| (Arc::ptr_eq(&s.model, &model0) || s.model.stack == model0.stack) && s.cg == cg0);
     if !homogeneous {
         for (sim, power) in sims.iter_mut().zip(die_powers) {
             let stats = sim.step(power, dt);
@@ -709,7 +583,6 @@ pub fn step_lockstep<'a>(
         return &scratch.stats;
     }
 
-    let direct = solver0 == Some(SolverStrategy::DirectCholesky);
     let n = model0.node_count();
     let nk = n * k;
     scratch.rhs.resize(nk, 0.0);
@@ -724,86 +597,50 @@ pub fn step_lockstep<'a>(
             scratch.rhs[i * k + l] =
                 qi + (sim.model.cap[i] / dt * sim.t[i] + sim.model.conv[i] * amb);
         }
-        if direct {
-            sim.have_prev = false;
-        } else {
-            // The solo warm start, verbatim: extrapolate 2·Tₙ − Tₙ₋₁ and
-            // save Tₙ in the same pass.
-            for (ti, pi) in sim.t.iter_mut().zip(sim.prev.iter_mut()) {
-                let tn = *ti;
-                if sim.have_prev {
-                    *ti = 2.0 * tn - *pi;
-                }
-                *pi = tn;
+        // The solo warm start, verbatim: extrapolate 2·Tₙ − Tₙ₋₁ and save
+        // Tₙ in the same pass.
+        for (ti, pi) in sim.t.iter_mut().zip(sim.prev.iter_mut()) {
+            let tn = *ti;
+            if sim.have_prev {
+                *ti = 2.0 * tn - *pi;
             }
-            sim.have_prev = true;
-            for (i, &ti) in sim.t.iter().enumerate() {
-                scratch.x[i * k + l] = ti;
-            }
+            *pi = tn;
+        }
+        sim.have_prev = true;
+        for (i, &ti) in sim.t.iter().enumerate() {
+            scratch.x[i * k + l] = ti;
         }
     }
 
     {
         let _span = hotgauge_telemetry::span!("solver.multi_rhs");
-        if direct {
-            #[expect(
-                clippy::unreachable,
-                reason = "prepare() above filled sys for every lane and the homogeneity check pinned the solver arm to Direct"
-            )]
-            let Some(SysCache {
-                solver: SysSolver::Direct { factor, .. },
-                ..
-            }) = &sims[0].sys
-            else {
-                unreachable!("homogeneity check pinned the direct arm")
-            };
-            let factor = Arc::clone(factor);
-            let solve_threads = sims[0].effective_solver_threads();
-            scratch.work.resize(nk, 0.0);
-            factor.solve_multi_with_threads(
-                k,
-                &scratch.rhs,
-                &mut scratch.x,
-                &mut scratch.work,
-                solve_threads,
-            );
-            hotgauge_telemetry::counter!("thermal.direct_solves", k);
-            for _ in 0..k {
-                scratch.stats.push(SolveStats {
-                    iterations: 0,
-                    relative_residual: 0.0,
-                    converged: true,
-                });
-            }
-        } else {
-            #[expect(
-                clippy::unreachable,
-                reason = "prepare() above filled sys for every lane"
-            )]
-            let Some(cache) = &sims[0].sys
-            else {
-                unreachable!("system prepared above")
-            };
-            let m = Arc::clone(&cache.m);
-            let rebuild = match &scratch.cg {
-                Some((prev_m, ws)) => !Arc::ptr_eq(prev_m, &m) || ws.k() != k,
-                None => true,
-            };
-            if rebuild {
-                scratch.cg = Some((Arc::clone(&m), MultiCgWorkspace::new(&*m, k)));
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "the rebuild branch above just filled scratch.cg"
-            )]
-            let (_, ws) = scratch.cg.as_mut().expect("workspace built above");
-            solve_cg_multi(&*m, &scratch.rhs, &mut scratch.x, &cg0, ws);
-            for stats in ws.stats() {
-                hotgauge_telemetry::counter!("thermal.cg_iterations", stats.iterations);
-                hotgauge_telemetry::counter!("thermal.cg_residual", stats.relative_residual);
-            }
-            scratch.stats.extend_from_slice(ws.stats());
+        #[expect(
+            clippy::unreachable,
+            reason = "prepare() above filled sys for every lane"
+        )]
+        let Some(cache) = &sims[0].sys
+        else {
+            unreachable!("system prepared above")
+        };
+        let m = Arc::clone(&cache.m);
+        let rebuild = match &scratch.cg {
+            Some((prev_m, ws)) => !Arc::ptr_eq(prev_m, &m) || ws.k() != k,
+            None => true,
+        };
+        if rebuild {
+            scratch.cg = Some((Arc::clone(&m), MultiCgWorkspace::new(&*m, k)));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the rebuild branch above just filled scratch.cg"
+        )]
+        let (_, ws) = scratch.cg.as_mut().expect("workspace built above");
+        solve_cg_multi(&*m, &scratch.rhs, &mut scratch.x, &cg0, ws);
+        for stats in ws.stats() {
+            hotgauge_telemetry::counter!("thermal.cg_iterations", stats.iterations);
+            hotgauge_telemetry::counter!("thermal.cg_residual", stats.relative_residual);
+        }
+        scratch.stats.extend_from_slice(ws.stats());
     }
 
     for (l, sim) in sims.iter_mut().enumerate() {
@@ -1058,58 +895,6 @@ mod tests {
         assert!(model.conductance().to_csr().is_symmetric(0.0));
     }
 
-    #[test]
-    fn direct_and_cg_transients_agree_to_microkelvin() {
-        let s = stack_1d(10, 10);
-        let model = ThermalModel::new(s);
-        let mut direct = ThermalSim::new(model.clone(), 40.0);
-        direct.chol = CholOptions::unbounded();
-        direct.set_strategy(SolverStrategy::DirectCholesky);
-        let mut cg = ThermalSim::new(model, 40.0);
-        cg.cg.tolerance = 1e-10;
-
-        let mut p = vec![0.0; 100];
-        for (i, pi) in p.iter_mut().enumerate() {
-            *pi = 0.01 + 0.005 * ((i % 9) as f64);
-        }
-        for _ in 0..50 {
-            direct.step(&p, 1e-3);
-            cg.step(&p, 1e-3);
-        }
-        assert_eq!(direct.active_solver(), Some(SolverStrategy::DirectCholesky));
-        for (a, b) in direct.state().iter().zip(cg.state()) {
-            assert!((a - b).abs() < 1e-6, "direct {a} vs cg {b}");
-        }
-    }
-
-    #[test]
-    fn direct_strategy_falls_back_to_cg_over_budget() {
-        let s = stack_1d(6, 6);
-        let model = ThermalModel::new(s);
-        let mut sim = ThermalSim::new(model, 40.0);
-        sim.set_strategy(SolverStrategy::DirectCholesky);
-        sim.chol.max_profile_entries = 1; // nothing fits
-        let p = vec![0.1; 36];
-        let stats = sim.step(&p, 1e-3);
-        assert_eq!(sim.active_solver(), Some(SolverStrategy::Cg));
-        assert!(stats.converged);
-        assert!(stats.iterations > 0, "fallback must actually run CG");
-    }
-
-    #[test]
-    fn set_strategy_invalidates_prepared_system() {
-        let s = stack_1d(4, 4);
-        let model = ThermalModel::new(s);
-        let mut sim = ThermalSim::new(model, 40.0);
-        sim.prepare(1e-3);
-        assert_eq!(sim.active_solver(), Some(SolverStrategy::Cg));
-        sim.chol = CholOptions::unbounded();
-        sim.set_strategy(SolverStrategy::DirectCholesky);
-        assert_eq!(sim.active_solver(), None);
-        sim.prepare(1e-3);
-        assert_eq!(sim.active_solver(), Some(SolverStrategy::DirectCholesky));
-    }
-
     /// Distinct per-lane power maps so lanes diverge immediately.
     fn lane_powers(k: usize, cells: usize) -> Vec<Vec<f64>> {
         (0..k)
@@ -1123,17 +908,12 @@ mod tests {
 
     /// Steps `k` lockstep lanes and `k` solo twins through `steps` steps and
     /// asserts bitwise-equal states and equal stats after every step.
-    fn assert_lockstep_matches_solo(strategy: SolverStrategy, k: usize, steps: usize) {
+    fn assert_lockstep_matches_solo(k: usize, steps: usize) {
         let s = stack_1d(9, 8);
         let model = ThermalModel::new(s);
         let cells = 9 * 8;
         let powers = lane_powers(k, cells);
-        let make = |init: f64| {
-            let mut sim = ThermalSim::new(model.clone(), init);
-            sim.chol = CholOptions::unbounded();
-            sim.set_strategy(strategy);
-            sim
-        };
+        let make = |init: f64| ThermalSim::new(model.clone(), init);
         let mut lock: Vec<ThermalSim> = (0..k).map(|l| make(40.0 + l as f64)).collect();
         let mut solo: Vec<ThermalSim> = (0..k).map(|l| make(40.0 + l as f64)).collect();
         let mut scratch = LockstepScratch::new();
@@ -1148,7 +928,6 @@ mod tests {
             let lock_stats = step_lockstep(&mut lanes, &maps, 1e-3, &mut scratch).to_vec();
             assert_eq!(lock_stats, solo_stats, "stats diverged at step {step}");
             for (l, (a, b)) in lock.iter().zip(&solo).enumerate() {
-                assert_eq!(a.active_solver(), b.active_solver());
                 for (i, (x, y)) in a.state().iter().zip(b.state()).enumerate() {
                     assert_eq!(
                         x.to_bits(),
@@ -1163,26 +942,19 @@ mod tests {
     #[test]
     fn lockstep_cg_steps_are_bitwise_equal_to_solo_steps() {
         for k in [1, 2, 4, 8] {
-            assert_lockstep_matches_solo(SolverStrategy::Cg, k, 5);
-        }
-    }
-
-    #[test]
-    fn lockstep_direct_steps_are_bitwise_equal_to_solo_steps() {
-        for k in [1, 2, 4, 8] {
-            assert_lockstep_matches_solo(SolverStrategy::DirectCholesky, k, 5);
+            assert_lockstep_matches_solo(k, 5);
         }
     }
 
     #[test]
     fn lockstep_falls_back_to_solo_on_heterogeneous_lanes() {
+        // Same model, different CG configs: sharing lane 0's config would
+        // stop lane 1 at the wrong tolerance.
         let model = ThermalModel::new(stack_1d(6, 6));
         let powers = lane_powers(2, 36);
         let mut a = ThermalSim::new(model.clone(), 40.0);
-        a.chol = CholOptions::unbounded();
-        a.set_strategy(SolverStrategy::DirectCholesky);
-        let mut b = ThermalSim::new(model.clone(), 41.0);
-        b.set_strategy(SolverStrategy::Cg);
+        let mut b = ThermalSim::new(model, 41.0);
+        b.cg.tolerance = 1e-12;
         let mut solo_a = a.clone();
         let mut solo_b = b.clone();
 
@@ -1190,12 +962,13 @@ mod tests {
         for _ in 0..3 {
             let mut lanes: Vec<&mut ThermalSim> = vec![&mut a, &mut b];
             let maps: Vec<&[f64]> = powers.iter().map(|p| p.as_slice()).collect();
-            step_lockstep(&mut lanes, &maps, 1e-3, &mut scratch);
-            solo_a.step(&powers[0], 1e-3);
-            solo_b.step(&powers[1], 1e-3);
+            let lock = step_lockstep(&mut lanes, &maps, 1e-3, &mut scratch).to_vec();
+            let want = [solo_a.step(&powers[0], 1e-3), solo_b.step(&powers[1], 1e-3)];
+            assert_eq!(lock, want);
+            // The configs really differ in effect, or this would not test
+            // the fallback.
+            assert_ne!(want[0].iterations, want[1].iterations);
         }
-        assert_eq!(a.active_solver(), Some(SolverStrategy::DirectCholesky));
-        assert_eq!(b.active_solver(), Some(SolverStrategy::Cg));
         for (x, y) in a.state().iter().zip(solo_a.state()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -1256,15 +1029,12 @@ mod tests {
         }
     }
 
-    /// The CG workspace of a prepared CG-arm simulation.
+    /// The CG workspace of a prepared simulation.
     fn cg_workspace(sim: &ThermalSim) -> &CgWorkspace {
-        match &sim.sys {
-            Some(SysCache {
-                solver: SysSolver::Cg(ws),
-                ..
-            }) => ws,
-            _ => panic!("simulation has no prepared CG system"),
-        }
+        &sim.sys
+            .as_ref()
+            .expect("simulation has no prepared system")
+            .ws
     }
 
     /// Footprint regression: a lane cloned from a prepared simulation must
@@ -1302,15 +1072,5 @@ mod tests {
         let again = lanes[0].clone();
         assert!(!cg_workspace(&again).has_scratch());
         assert!(cg_workspace(&again).shares_preconditioner(cg_workspace(&proto)));
-    }
-
-    #[test]
-    fn solver_strategy_round_trips_through_strings() {
-        for s in [SolverStrategy::DirectCholesky, SolverStrategy::Cg] {
-            let parsed: SolverStrategy = s.as_str().parse().unwrap();
-            assert_eq!(parsed, s);
-        }
-        assert!("chebyshev".parse::<SolverStrategy>().is_err());
-        assert_eq!(SolverStrategy::default(), SolverStrategy::DirectCholesky);
     }
 }

@@ -3,22 +3,11 @@
 //! The thermal RC network is assembled here as triplets and summed into a
 //! CSR matrix, then copied into the structured [`crate::stencil::Stencil7`]
 //! that conjugate gradients (see [`crate::solver`]) runs on. CSR remains
-//! the general form: the factor-once direct solver (see [`crate::chol`])
-//! takes it as input, and the solver property tests run CG on random RC
-//! networks that are not grids.
+//! the general form: the solver property tests run CG on random RC
+//! networks that are not grids, and the stencil tests use it as the
+//! reference the stencil kernels must match bit for bit.
 
 use crate::solver::SpdOperator;
-
-/// Detected hardware parallelism, cached after the first query.
-pub fn hardware_threads() -> usize {
-    use std::sync::OnceLock;
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
 
 /// A compressed-sparse-row matrix.
 #[derive(Debug, Clone)]
@@ -175,10 +164,18 @@ pub struct TripletBuilder {
 impl TripletBuilder {
     /// A builder for an `n × n` matrix.
     pub fn new(n: usize) -> Self {
+        Self::with_capacity(n, 0)
+    }
+
+    /// A builder for an `n × n` matrix with room for `entries` triplets
+    /// (plus the diagonal [`Self::build`] adds), so an assembly that can
+    /// bound its size allocates the list once instead of growing it by
+    /// doubling.
+    pub(crate) fn with_capacity(n: usize, entries: usize) -> Self {
         assert!(n < u32::MAX as usize, "matrix too large for u32 indices");
         Self {
             n,
-            entries: Vec::new(),
+            entries: Vec::with_capacity(entries + n),
         }
     }
 
@@ -214,9 +211,11 @@ impl TripletBuilder {
         self.entries
             .sort_unstable_by_key(|&(r, c, _)| ((r as u64) << 32) | c as u64);
 
+        // At most one stored entry per triplet: reserving that bound
+        // allocates each array once.
         let mut row_ptr = Vec::with_capacity(self.n + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
+        let mut col_idx = Vec::with_capacity(self.entries.len());
+        let mut values = Vec::with_capacity(self.entries.len());
         row_ptr.push(0);
         let mut cur_row = 0u32;
         let mut iter = self.entries.into_iter().peekable();

@@ -178,8 +178,8 @@ impl Stencil7 {
     }
 
     /// The same operator as a CSR matrix: the entries [`Self::from_csr`]
-    /// read, in the same order, so a round trip is exact. Used as the
-    /// direct solver's factor input.
+    /// read, in the same order, so a round trip is exact. Used by tests as
+    /// the reference the stencil kernels are checked against.
     pub fn to_csr(&self) -> CsrMatrix {
         let n = self.n();
         let grid = [self.nx, self.ny, self.nz];

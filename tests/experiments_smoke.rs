@@ -20,7 +20,6 @@ fn mini() -> Fidelity {
         max_time_s: 1.2e-3,
         threads: 2,
         batch: 8,
-        solver_threads: 2,
     }
 }
 

@@ -265,7 +265,7 @@ fn golden_value_key_is_pinned() {
 fn golden_run_key_is_pinned() {
     assert_eq!(
         run_key(&pinned_cfg()).as_hex(),
-        "43926afb04a93a2a04d7c03538116bfe"
+        "1ee3382b28b2c1afe79f9145e3832ebd"
     );
 }
 

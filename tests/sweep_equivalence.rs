@@ -92,10 +92,6 @@ fn cfg_from_entropy(bits: u64) -> SimConfig {
     c.seed = (bits >> 8) % 8;
     c.target_core = ((bits >> 11) % 3) as usize;
     c.substeps = 1 + ((bits >> 13) % 2) as usize;
-    // Triangular-sweep shard budget: results are bit-identical at every
-    // setting, so the differential references below stay valid whichever
-    // value a case draws (0 = auto).
-    c.solver_threads = [1, 0, 2, 4][((bits >> 17) % 4) as usize];
     c.throttle = [
         None,
         Some(ThrottlePolicy::mitigation_default()),
@@ -144,32 +140,6 @@ proptest! {
             prop_assert_eq!(got.len(), cfgs.len());
             for (g, w) in got.iter().zip(&ref_plain) {
                 assert_same_run(g, w);
-            }
-        }
-    }
-
-    // The solver-threads differential: the level-scheduled triangular
-    // sweeps (and their CG-fallback bypass) must leave every run bitwise
-    // unchanged at any shard budget, serial reference at 1.
-    #[test]
-    fn solver_threads_never_change_results(
-        entropy in prop::collection::vec(0u64..u64::MAX, 1..3),
-    ) {
-        let _g = lock();
-        for bits in entropy {
-            let mut cfg = cfg_from_entropy(bits);
-            cfg.solver_threads = 1;
-            let want = run_sim(cfg.clone());
-            for threads in [0usize, 2, 4] {
-                let mut c = cfg.clone();
-                c.solver_threads = threads;
-                let got = run_sim(c);
-                // The config JSON differs only in the knob itself; compare
-                // the physics outputs bit-for-bit.
-                prop_assert_eq!(&got.records, &want.records);
-                prop_assert_eq!(got.tuh_s, want.tuh_s);
-                prop_assert_eq!(&got.final_frame, &want.final_frame);
-                prop_assert_eq!(got.total_instructions, want.total_instructions);
             }
         }
     }
@@ -259,7 +229,6 @@ fn serve_streams_schema_tagged_ndjson_rows() {
         max_time_s: 5e-4,
         threads: 2,
         batch: 8,
-        solver_threads: 2,
     };
     let opts = ServeOptions::from_fidelity(fid);
     let root = scratch("serve");
