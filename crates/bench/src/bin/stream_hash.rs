@@ -14,8 +14,9 @@
 //!
 //! `--thermal` pins the thermal stage instead: one line per pipeline
 //! geometry (smoke and fast presets; 14 nm, and 7 nm at IC area 1.5×)
-//! hashing an idle warm-up, solo steps and K = 8 / K = 5 lockstep steps
-//! (see `hotgauge_bench::fingerprint::thermal_hash`).
+//! hashing an idle warm-up, solo steps and the steps of K = 8 / K = 5 lane
+//! groups cloned from one prepared simulation, each lane stepping on its
+//! own (see `hotgauge_bench::fingerprint::thermal_hash`).
 //!
 //! `--run` pins the co-simulation run loop: one line per result of a fixed
 //! set of short runs (solo cold, idle and stop-at-first-hotspot runs, a

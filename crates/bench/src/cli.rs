@@ -9,10 +9,11 @@
 //!   bins (default: one per hardware thread; results are bit-identical
 //!   either way). Sweep bins record the realized pool shape in their
 //!   manifests.
-//! * `--batch K` — lockstep batch width for sweep bins: same-geometry runs
-//!   are solved up to `K` at a time through the multi-RHS thermal path
-//!   (default: [`hotgauge_core::DEFAULT_BATCH_WIDTH`]; `1` disables
-//!   batching; results are bit-identical at every width).
+//! * `--batch K` — lockstep batch width for sweep bins: up to `K`
+//!   same-geometry runs share one construction and advance together, at
+//!   most [`hotgauge_core::MAX_LOCKSTEP_WIDTH`] (default:
+//!   [`hotgauge_core::DEFAULT_BATCH_WIDTH`]; `1` disables batching; results
+//!   are bit-identical at every width).
 //! * `--store DIR` — route sweeps through the content-addressed result
 //!   store at DIR: unchanged runs are served from disk bit-identically,
 //!   fresh runs are persisted, and the manifest gains a `store` block with
@@ -112,13 +113,13 @@ impl BinArgs {
                         std::process::exit(2);
                     };
                     match v.parse::<usize>() {
-                        Ok(k) if (1..=hotgauge_thermal::MAX_LOCKSTEP_WIDTH).contains(&k) => {
+                        Ok(k) if (1..=hotgauge_core::MAX_LOCKSTEP_WIDTH).contains(&k) => {
                             batch = Some(k)
                         }
                         _ => {
                             eprintln!(
                                 "error: invalid batch width {v} (expected 1..={})",
-                                hotgauge_thermal::MAX_LOCKSTEP_WIDTH
+                                hotgauge_core::MAX_LOCKSTEP_WIDTH
                             );
                             std::process::exit(2);
                         }

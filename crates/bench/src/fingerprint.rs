@@ -16,7 +16,7 @@ use hotgauge_floorplan::{FloorplanGrid, TechNode};
 use hotgauge_perf::config::{CoreConfig, MemoryConfig};
 use hotgauge_perf::engine::CoreSim;
 use hotgauge_perf::instr::InstrSource;
-use hotgauge_thermal::model::{step_lockstep, LockstepScratch, ThermalModel, ThermalSim};
+use hotgauge_thermal::model::{ThermalModel, ThermalSim};
 use hotgauge_thermal::solver::SolveStats;
 use hotgauge_thermal::stack::StackDescription;
 use hotgauge_thermal::warmup::{initial_state, Warmup};
@@ -96,11 +96,11 @@ pub const THERMAL_CASES: [(&str, TechNode, f64); 4] = [
     ("fast", TechNode::N7, 1.5),
 ];
 
-/// Lockstep group widths [`thermal_hash`] steps: the sweep's full batch
-/// and an odd width of the kind the pool partition emits.
-const THERMAL_LOCKSTEP_WIDTHS: [usize; 2] = [8, 5];
+/// Lane group widths [`thermal_hash`] steps: the sweep's full batch and an
+/// odd width of the kind the pool partition emits.
+const THERMAL_GROUP_WIDTHS: [usize; 2] = [8, 5];
 
-/// Steps hashed per solo run and per lockstep group.
+/// Steps hashed per solo run and per lane group.
 const THERMAL_STEPS: usize = 5;
 
 /// A deterministic per-cell power map, watts: `base` plus a hashed
@@ -131,13 +131,14 @@ fn push_stats(h: &mut Fnv, s: &SolveStats) {
 
 /// Hash of the thermal stage on one pipeline geometry: the full-domain
 /// state after an idle warm-up (40 solo steps at 25 ms under a synthetic
-/// idle map), then [`THERMAL_STEPS`] solo steps from it at the run's
-/// substep, then [`THERMAL_STEPS`] lockstep steps of groups of 8 and 5
-/// lanes started from the warm state with distinct power maps. Every
-/// state and every solve's iterations and residual are hashed, so any
-/// change to assembly, the CG kernels or the lockstep path
-/// shows. The model, stack and CG setup mirror the co-simulation
-/// pipeline's. `None` for an unknown preset (`smoke` or `fast`).
+/// idle map), then `THERMAL_STEPS` solo steps from it at the run's
+/// substep, then `THERMAL_STEPS` steps of groups of 8 and 5 lanes cloned
+/// from the warm simulation with distinct power maps, each lane stepping in
+/// lane order as a batch of the run loop does. Every state and every solve's iterations and residual
+/// are hashed, so any change to assembly, the CG kernels or a clone's
+/// sharing of the prepared system shows. The model, stack and CG setup
+/// mirror the co-simulation pipeline's. `None` for an unknown preset
+/// (`smoke` or `fast`).
 pub fn thermal_hash(preset: &str, node: TechNode, ic_area_factor: f64) -> Option<u64> {
     let fidelity = match preset {
         "smoke" => Fidelity::smoke(),
@@ -179,17 +180,16 @@ pub fn thermal_hash(preset: &str, node: TechNode, ic_area_factor: f64) -> Option
         push_state(&mut h, solo.state());
     }
 
-    let mut scratch = LockstepScratch::new();
-    for k in THERMAL_LOCKSTEP_WIDTHS {
+    for k in THERMAL_GROUP_WIDTHS {
         let mut lanes: Vec<ThermalSim> = (0..k).map(|_| proto.clone()).collect();
         let maps: Vec<Vec<f64>> = (0..k as u64)
             .map(|l| power_map(cells, 0x1A4E ^ (l << 16), 0.01, 0.05))
             .collect();
-        let maps: Vec<&[f64]> = maps.iter().map(Vec::as_slice).collect();
         for _ in 0..THERMAL_STEPS {
-            let mut refs: Vec<&mut ThermalSim> = lanes.iter_mut().collect();
-            for stats in step_lockstep(&mut refs, &maps, dt, &mut scratch) {
-                push_stats(&mut h, stats);
+            // Every lane's stats, then every lane's state: the order the
+            // goldens were recorded in.
+            for (lane, map) in lanes.iter_mut().zip(&maps) {
+                push_stats(&mut h, &lane.step(map, dt));
             }
             for lane in &lanes {
                 push_state(&mut h, lane.state());

@@ -103,7 +103,7 @@ fn parse_resident(args: &[String], usage: &str) -> Result<Option<ResidentArgs>, 
             "--batch" => {
                 let v = take(&mut i)?;
                 match v.parse::<usize>() {
-                    Ok(k) if (1..=hotgauge_thermal::MAX_LOCKSTEP_WIDTH).contains(&k) => {
+                    Ok(k) if (1..=hotgauge_core::MAX_LOCKSTEP_WIDTH).contains(&k) => {
                         out.batch = Some(k)
                     }
                     _ => return Err(format!("invalid batch width {v}")),

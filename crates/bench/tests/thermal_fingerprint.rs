@@ -1,9 +1,11 @@
 //! Golden fingerprints of the thermal stage: per pipeline geometry, an idle
-//! warm-up, solo steps and K = 8 / K = 5 lockstep steps, hashed by
+//! warm-up, solo steps and the steps of K = 8 / K = 5 lane groups cloned
+//! from one prepared simulation, hashed by
 //! `hotgauge_bench::fingerprint::thermal_hash` (the `stream_hash --thermal`
-//! harness). The hashes were recorded with the CSR-backed CG kernels; any
-//! change to the RC-network assembly, the CG iteration or the lockstep path
-//! changes at least one.
+//! harness). The hashes were recorded with the CSR-backed CG kernels and a
+//! multi-RHS solve of each group; the groups now step lane by lane, with
+//! the same bits. Any change to the RC-network assembly, the CG iteration
+//! or a clone's sharing of the prepared system changes at least one.
 
 use hotgauge_bench::fingerprint::{thermal_hash, THERMAL_CASES};
 

@@ -36,9 +36,9 @@ pub struct Fidelity {
     /// Thread budget: the [`crate::sweep`] executor's worker-pool width for
     /// the multi-run drivers (`0` = one per hardware thread).
     pub threads: usize,
-    /// Lockstep batch width for the multi-run drivers: same-geometry runs
-    /// are solved up to this many at a time through the multi-RHS thermal
-    /// path (`1` disables batching; results are identical at every width).
+    /// Lockstep batch width for the multi-run drivers: up to this many
+    /// same-geometry runs share one construction and advance together
+    /// (`1` disables batching; results are identical at every width).
     pub batch: usize,
 }
 

@@ -21,8 +21,8 @@
 //! * the process-wide table of **activity traces** that runs the perf model
 //!   once per workload stream, not once per run ([`activity_trace`]);
 //! * the **sweep executor** running whole figure grids on a
-//!   fixed pool of stateless workers, solving same-geometry runs in
-//!   lockstep multi-RHS batches ([`sweep`]);
+//!   fixed pool of stateless workers, advancing same-geometry runs in
+//!   lockstep batches that share one construction ([`sweep`]);
 //! * canned **experiment runners** for every table and figure
 //!   ([`experiments`]) and report formatting ([`report`]);
 //! * severity-triggered **DVFS throttling** ([`throttle`]), a per-run
@@ -72,7 +72,9 @@ pub use crate::mltd::{max_mltd, mltd_field, mltd_field_naive};
 pub use crate::pipeline::{run_many, run_sim, RunResult, SimConfig, StepRecord};
 pub use crate::series::{percentile, rms, BoxStats, TimeSeries};
 pub use crate::severity::{peak_severity, SeverityParams, Sigmoid};
-pub use crate::sweep::{pool_workers, run_batch, run_many_batched_with, DEFAULT_BATCH_WIDTH};
+pub use crate::sweep::{
+    pool_workers, run_batch, run_many_batched_with, DEFAULT_BATCH_WIDTH, MAX_LOCKSTEP_WIDTH,
+};
 pub use crate::throttle::ThrottlePolicy;
 pub use crate::units::{Celsius, Microns};
 

@@ -27,12 +27,9 @@ use hotgauge_perf::activity::ActivityCounters;
 use hotgauge_perf::config::CoreConfig;
 use hotgauge_power::model::{CoreWindow, PowerModel, PowerParams};
 use hotgauge_thermal::frame::ThermalFrame;
-use hotgauge_thermal::model::{
-    step_lockstep, LockstepScratch, SolverStrategy, ThermalModel, ThermalSim,
-};
+use hotgauge_thermal::model::{SolverStrategy, ThermalModel, ThermalSim};
 use hotgauge_thermal::stack::StackDescription;
 use hotgauge_thermal::warmup::Warmup;
-use hotgauge_thermal::MAX_LOCKSTEP_WIDTH;
 use hotgauge_workloads::benchmark_profile;
 use hotgauge_workloads::idle::{idle_profile, IDLE_DUTY_CYCLE, IDLE_WARMUP_DURATION_S};
 
@@ -42,6 +39,7 @@ use crate::detect::HotspotParams;
 use crate::locations::HotspotCensus;
 use crate::series::TimeSeries;
 use crate::severity::SeverityParams;
+use crate::sweep::MAX_LOCKSTEP_WIDTH;
 use crate::throttle::{LaneThrottle, ThrottlePolicy};
 use crate::units;
 
@@ -402,7 +400,7 @@ impl CoSimulation {
     }
 
     /// [`CoSimulation::try_new`], optionally adopting the geometry-keyed
-    /// model parts of a lockstep batch mate (see [`crate::sweep::run_batch`]).
+    /// model parts of a batch mate (see [`crate::sweep::run_batch`]).
     ///
     /// With `geom: Some(..)` the floorplan, rasterized grids, power model,
     /// and prepared thermal system are adopted instead of rebuilt; the
@@ -564,11 +562,11 @@ impl CoSimulation {
     }
 
     /// Clones the geometry-keyed model parts of this simulation, so a
-    /// lockstep batch mate with the same [`crate::sweep::geom_key`] can be
-    /// constructed without rebuilding them ([`CoSimulation::try_new_reusing`]
-    /// resets the cloned thermal state). The clone shares the prepared
-    /// backward-Euler matrix through its `Arc`, which is also what lets
-    /// [`step_lockstep`] batch the lanes.
+    /// batch mate with the same geometry key (see [`crate::sweep`]) can be
+    /// constructed without rebuilding them
+    /// ([`CoSimulation::try_new_reusing`] resets the cloned thermal state).
+    /// The clone shares the model, the prepared backward-Euler matrix and
+    /// its preconditioner through their `Arc`s.
     pub(crate) fn clone_geom_parts(&self) -> GeomParts {
         GeomParts {
             fp: self.fp.clone(),
@@ -611,8 +609,8 @@ impl CoSimulation {
 
     /// [`CoSimulation::run`] with a per-window liveness callback, so long
     /// runs can report progress while they execute. The run is a one-lane
-    /// pass of the lockstep stepper [`run_lanes`], whose K = 1 thermal step
-    /// is the plain [`ThermalSim::step`].
+    /// pass of the run loop every batch goes through, which advances each
+    /// lane's thermal state by [`ThermalSim::step`].
     pub fn run_with_progress(self, on_window: Option<&dyn Fn(WindowProgress)>) -> RunResult {
         let on_lane_window = |_lane: usize, p: WindowProgress| {
             if let Some(cb) = on_window {
@@ -682,7 +680,7 @@ impl CoSimulation {
 
 /// The geometry-keyed model parts of one co-simulation — everything that
 /// depends only on the floorplan/grid shape of a [`SimConfig`], not
-/// on its workload or seed. A lockstep batch mate with lane 0's
+/// on its workload or seed. A batch mate with lane 0's
 /// [`crate::sweep::geom_key`] adopts a clone of lane 0's parts, skipping the
 /// floorplan build, the two rasterizations, the power-model assembly and the
 /// thermal-system preparation, and sharing lane 0's prepared matrix.
@@ -697,18 +695,14 @@ pub(crate) struct GeomParts {
 /// The run loop of every co-simulation: advances `sims` window by window
 /// and substep by substep in lockstep and returns each lane's result in
 /// lane order. Every still-running lane produces its perf/power window,
-/// then one multi-RHS thermal solve ([`step_lockstep`]) advances them all,
-/// streaming the shared backward-Euler matrix once per substep instead of
-/// once per lane. Lanes drop out independently: a stop-at-first-hotspot
-/// lane that trips, or a lane whose instruction/time budget runs out, takes
-/// no further steps while its batch mates continue.
+/// then each takes its own [`ThermalSim::step`] per substep. Lanes drop out
+/// independently: a stop-at-first-hotspot lane that trips, or a lane whose
+/// instruction/time budget runs out, takes no further steps while its
+/// batch mates continue.
 ///
 /// Each result is **bit-identical** to a solo run of that lane: a solo run
-/// is one lane, whose thermal step [`step_lockstep`] routes straight to
-/// [`ThermalSim::step`], and the lockstep solver applies each lane's
-/// arithmetic in the single-RHS element order. Lanes whose thermal systems
-/// are not homogeneous (another grid or CG config) are stepped solo
-/// inside [`step_lockstep`]: still exact, without the bandwidth win.
+/// is one lane, and a lane's state is touched only by its own steps, in
+/// the same order, whatever its batch mates do.
 ///
 /// `on_lane_done` fires with the lane index as each lane finishes (sweep
 /// liveness); `on_window` fires with the lane index after each window a lane
@@ -742,7 +736,6 @@ pub(crate) fn run_lanes(
     };
 
     let mut lanes: Vec<Lane> = sims.into_iter().map(Lane::new).collect();
-    let mut scratch = LockstepScratch::new();
     loop {
         // Window start: every unfinished lane with budget left produces its
         // perf/power window; a lane whose budget ran out finishes here.
@@ -769,22 +762,18 @@ pub(crate) fn run_lanes(
         }
 
         for _ in 0..substeps {
-            // The lanes still in this window: a lane that stopped at
-            // substep s takes no thermal step at s + 1.
-            let mut therm: Vec<&mut ThermalSim> = Vec::with_capacity(k);
-            let mut maps: Vec<&[f64]> = Vec::with_capacity(k);
-            for lane in lanes.iter_mut() {
-                if let Some(w) = &lane.window {
-                    therm.push(&mut lane.sim.thermal);
-                    maps.push(&w.power_map);
-                }
-            }
-            if therm.is_empty() {
+            // The lanes still in this window each take their own step: a
+            // lane that stopped at substep s takes no thermal step at s + 1.
+            if lanes.iter().all(|lane| lane.window.is_none()) {
                 break;
             }
             {
                 let _stage = span!("stage.thermal");
-                step_lockstep(&mut therm, &maps, dt_sub, &mut scratch);
+                for lane in lanes.iter_mut() {
+                    if let Some(w) = &lane.window {
+                        lane.sim.thermal.step(&w.power_map, dt_sub);
+                    }
+                }
             }
 
             for (i, lane) in lanes.iter_mut().enumerate() {
@@ -1284,8 +1273,8 @@ mod tests {
     #[test]
     fn batched_stop_lane_stops_alone_and_matches_serial() {
         // One TUH lane (with the prefilter engaged) trips mid-run and must
-        // drop out of the lockstep batch without perturbing its batch mate,
-        // which runs to the horizon.
+        // stop stepping while its batch mate, which shares its prepared
+        // thermal system, runs on to the horizon unperturbed.
         let mut hot = quick_cfg();
         hot.stop_at_first_hotspot = true;
         hot.detect.t_threshold_c = 48.0;
@@ -1317,9 +1306,10 @@ mod tests {
 
     #[test]
     fn mixed_geometry_batch_falls_back_per_lane_and_stays_exact() {
-        // Different cell sizes mean different node counts: the lockstep
-        // solver cannot batch these, so it steps each lane solo — results
-        // must still be bit-identical to independent runs.
+        // Different cell sizes mean different geometry keys: lane 1 builds
+        // its own parts instead of cloning lane 0's, and the two step side
+        // by side on different grids; results must still be bit-identical
+        // to independent runs.
         let a = quick_cfg();
         let mut b = quick_cfg();
         b.cell_um = 360.0;

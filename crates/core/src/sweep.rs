@@ -10,20 +10,21 @@
 //! item to the next.
 //!
 //! On top of the pool sits the **lockstep batch engine**: jobs sharing a
-//! [`geom_key`] are grouped (first-seen key order) and split into batches
+//! geometry key (every config field the model parts depend on, see
+//! `geom_key`) are grouped (first-seen key order) and split into batches
 //! of up to [`DEFAULT_BATCH_WIDTH`] runs, narrowed where that balances the
-//! pool (see `partition`), and each batch advances through the pipeline's
-//! lockstep stepper, whose multi-RHS thermal solves stream the shared
-//! backward-Euler matrix once per substep for the whole batch. Batches of
-//! one job — singleton geometries, or groups split down to single lanes —
-//! are one-lane passes of the same stepper.
+//! pool (see `partition`). Each batch advances window by window through
+//! the pipeline's run loop, where every lane takes its own thermal step;
+//! what the batch shares is lane 0's constructed parts. Batches of one
+//! job — singleton geometries, or groups split down to single lanes — are
+//! one-lane passes of the same loop.
 //!
 //! Results are **order-preserving and bit-identical** to running each
 //! config through [`crate::pipeline::run_sim`] serially: the scheduler only
 //! decides *where and how wide* a run executes — a mate's cloned thermal
-//! state is reset to exactly the fresh-construction state and the lockstep
-//! solver applies each lane's arithmetic in single-RHS element order
-//! (`tests/sweep_equivalence.rs` pins all of it down).
+//! state is reset to exactly the fresh-construction state, and each lane's
+//! state is advanced only by its own steps (`tests/sweep_equivalence.rs`
+//! pins all of it down).
 //!
 //! Telemetry: `sweep.jobs` / `sweep.completions` count scheduled and
 //! finished runs (always equal), `sweep.items` counts the work items the
@@ -37,16 +38,21 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hotgauge_telemetry::{counter, span};
-use hotgauge_thermal::MAX_LOCKSTEP_WIDTH;
 
 use crate::pipeline::{run_lanes, CoSimulation, RunResult, SimConfig, SweepProgress};
 
-/// Default width of a lockstep batch: same-geometry jobs are solved up to
-/// eight at a time through the multi-RHS thermal path. Eight columns fill a
-/// cache line of `f64`s per matrix row — wider batches add little bandwidth
-/// amortization while inflating per-batch state; capped by
-/// [`MAX_LOCKSTEP_WIDTH`] either way.
+/// Default width of a lockstep batch: up to eight same-geometry jobs share
+/// one work item. What a batch buys is shared construction: the mates
+/// clone lane 0's floorplan, rasterized grids, power model and prepared
+/// thermal system instead of rebuilding them. Every lane keeps its own core
+/// model and thermal state live until the item ends, so a wider batch
+/// holds more memory at once; capped by [`MAX_LOCKSTEP_WIDTH`] either way.
 pub const DEFAULT_BATCH_WIDTH: usize = 8;
+
+/// Widest batch: how many lanes one work item holds live at once. It
+/// bounds [`run_batch`], clamps [`run_many_batched_with`]'s width and
+/// validates the `--batch` option, which is outside input.
+pub const MAX_LOCKSTEP_WIDTH: usize = 16;
 
 /// The geometry key of a config: every [`SimConfig`] field the floorplan,
 /// rasterized grids, power model, thermal stack, or prepared thermal system
@@ -72,12 +78,12 @@ pub(crate) fn geom_key(cfg: &SimConfig) -> String {
 }
 
 /// Runs a batch of configurations in lockstep: lane 0 builds its geometry,
-/// the lanes of lane 0's [`geom_key`] clone its parts — sharing the
-/// prepared backward-Euler matrix — and all lanes advance through the
-/// multi-RHS solver together. A lane of another geometry builds its own
-/// parts and is stepped solo inside the batch. Each result is bit-identical
-/// to `run_sim` of that configuration. `on_lane_done` fires with the lane
-/// index as each lane finishes.
+/// the lanes of lane 0's geometry key clone its parts — sharing the
+/// prepared backward-Euler matrix — and all lanes advance window by window
+/// together, each taking its own thermal steps. A lane of another geometry
+/// builds its own parts. Each result is bit-identical to `run_sim` of that
+/// configuration. `on_lane_done` fires with the lane index as each lane
+/// finishes.
 ///
 /// # Panics
 ///
@@ -91,8 +97,8 @@ pub fn run_batch(cfgs: Vec<SimConfig>, on_lane_done: Option<&dyn Fn(usize)>) -> 
     for cfg in cfgs {
         // Lane 0 builds its parts. A mate of lane 0's key clones them
         // instead of rebuilding: same-key parts are bit-identical by
-        // construction, and the clone shares the prepared matrix the
-        // lockstep solver keys on.
+        // construction, and the clone shares the prepared matrix and its
+        // preconditioner.
         let geom = lanes
             .first()
             .filter(|_| geom_key(&cfg) == key)
@@ -143,9 +149,9 @@ fn resolved_threads(threads: usize) -> usize {
 /// returns immediately for any `threads`. `on_done` is invoked from worker
 /// threads as each run finishes (sweep liveness for long experiments).
 ///
-/// Same-geometry jobs are solved in lockstep batches of
-/// [`DEFAULT_BATCH_WIDTH`]; use [`run_many_batched_with`] to pick another
-/// width (or `1` to disable batching). Results are identical either way.
+/// Same-geometry jobs run in lockstep batches of [`DEFAULT_BATCH_WIDTH`];
+/// use [`run_many_batched_with`] to pick another width (or `1` to disable
+/// batching). Results are identical either way.
 pub fn run_many_with(
     cfgs: Vec<SimConfig>,
     threads: usize,
@@ -154,13 +160,13 @@ pub fn run_many_with(
     run_many_batched_with(cfgs, threads, DEFAULT_BATCH_WIDTH, on_done)
 }
 
-/// [`run_many_with`] with an explicit lockstep batch width: same-[`geom_key`]
-/// jobs are grouped (first-seen key order) and solved up to `batch` at a
-/// time through [`run_batch`]; `batch <= 1` disables batching and runs
-/// every job as a one-lane batch. The width is clamped to
+/// [`run_many_with`] with an explicit lockstep batch width: jobs of one
+/// geometry key are grouped (first-seen key order) and run up to `batch`
+/// at a time through [`run_batch`]; `batch <= 1` disables batching and
+/// runs every job as a one-lane batch. The width is clamped to
 /// [`MAX_LOCKSTEP_WIDTH`], and groups are split narrower where that
 /// balances the lanes across the pool (see `partition`). Neither ever
-/// changes any result — only how many runs share each thermal solve.
+/// changes any result — only how many runs share one construction.
 #[expect(
     clippy::expect_used,
     reason = "every work item is claimed by exactly one worker before the scope joins, so every slot is Some; a worker panic already propagated at scope exit"
@@ -268,7 +274,7 @@ pub fn run_many_batched_with(
 /// holding the widest chunk gets one more chunk and is split evenly again.
 /// With `pool == 1` the bound is `N` itself, so no group splits further.
 /// A pure function of its arguments: the partition only decides how runs
-/// share a solve, never what they compute.
+/// share a construction, never what they compute.
 fn partition(sizes: &[usize], batch: usize, pool: usize) -> Vec<(usize, Range<usize>)> {
     let batch = batch.max(1);
     let pool = pool.max(1);

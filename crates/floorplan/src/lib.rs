@@ -3,7 +3,7 @@
 //! This crate provides the geometric substrate of the methodology:
 //!
 //! * [`geometry`] — planar primitives ([`geometry::Rect`], [`geometry::Point`]);
-//! * [`unit`] — the functional-unit taxonomy of the Skylake-proxy client CPU
+//! * [`mod@unit`] — the functional-unit taxonomy of the Skylake-proxy client CPU
 //!   (Fig. 5 of the paper), including the paper's added AVX-512, System
 //!   Agent, IMC, and I/O models;
 //! * [`layout`] — a slicing-tree layout engine that guarantees non-overlapping,

@@ -3,7 +3,7 @@
 //! Three renderings of the same diagnostic list: plain text (the default),
 //! a JSON report (`--format json`), and SARIF 2.1.0 (`--format sarif`) for
 //! CI annotation upload. All JSON is built as explicit ordered
-//! [`Value`](serde::Value) trees so field order is deterministic and keys
+//! [`serde::Value`] trees so field order is deterministic and keys
 //! like `$schema` (not expressible as a derive field name) come out right.
 //!
 //! The baseline machinery grandfathers known findings: a checked-in file

@@ -1,7 +1,7 @@
 //! The rule catalogue (policy v5: L002–L006, L008–L012) and the per-file
 //! rule driver.
 //!
-//! Every rule reads one [`FileModel`](crate::lex::FileModel) (token stream,
+//! Every rule reads one [`crate::lex::FileModel`] (token stream,
 //! brace-tree scopes, `#[cfg(test)]` lines, and pragma grants) and a
 //! [`FileClass`] describing where the file sits in the workspace. Rules
 //! match token sequences, never raw text, and ask the scope tree what

@@ -10,7 +10,7 @@
 //! Gated metrics (lower is better):
 //!
 //! * stage timings — `<label>.total_s`, `.p50_s`, `.p90_s`, `.p99_s` from
-//!   each [`StageMetrics`] entry (v2 manifests; percentile fields absent in
+//!   each [`hotgauge_telemetry::manifest::StageMetrics`] entry (v2 manifests; percentile fields absent in
 //!   v1 documents are simply not compared);
 //! * stage allocations — `<label>.allocs`, `<label>.alloc_bytes`;
 //! * harness wall metrics — any numeric `gate_*` leaf directly under the
@@ -72,7 +72,7 @@ pub struct GateConfig {
     /// `<span>.p99_s` is compared at the given relative tolerance, and the
     /// gate *fails* when the span is missing from either manifest — unlike
     /// ordinary metrics, which inform on one-sided presence. Use this to
-    /// pin tail latency of a hot span (e.g. `solver.multi_rhs`) in CI.
+    /// pin tail latency of a hot span (e.g. `stage.thermal`) in CI.
     pub gate_span_p99: Vec<(String, f64)>,
 }
 
@@ -1168,7 +1168,7 @@ mod tests {
             "--gate-counter".to_string(),
             "analysis.simd_rows".to_string(),
             "--gate-span-p99".to_string(),
-            "solver.multi_rhs=10".to_string(),
+            "stage.thermal=10".to_string(),
             "--quiet".to_string(),
         ]);
         let parsed = match ok {
@@ -1186,7 +1186,7 @@ mod tests {
             "prefixes must not gate everything"
         );
         assert_eq!(parsed.cfg.gate_span_p99.len(), 1);
-        assert_eq!(parsed.cfg.gate_span_p99[0].0, "solver.multi_rhs");
+        assert_eq!(parsed.cfg.gate_span_p99[0].0, "stage.thermal");
         assert!((parsed.cfg.gate_span_p99[0].1 - 0.10).abs() < 1e-12);
         assert!((parsed.slowdown - 1.5).abs() < 1e-12);
         assert!(parsed.quiet);

@@ -4,9 +4,10 @@
 //! tens of seconds (a whole sweep), so a linear histogram is hopeless and a
 //! growable one would allocate on the recording path. [`LatencyHistogram`]
 //! instead uses the classic HDR layout: exact buckets below
-//! [`LINEAR_BUCKETS`] ns, then [`SUB_BUCKETS`] sub-buckets per power of two,
-//! giving a bounded relative quantization error of `1/SUB_BUCKETS` (~3%)
-//! across the full `u64` nanosecond range in a fixed `BUCKETS * 8` bytes.
+//! `LINEAR_BUCKETS` (32) ns, then `SUB_BUCKETS` (32) sub-buckets per power
+//! of two, giving a bounded relative quantization error of `1/SUB_BUCKETS`
+//! (~3%) across the full `u64` nanosecond range in a fixed `BUCKETS * 8`
+//! bytes.
 //!
 //! Recording is two integer ops and an add — no allocation, no branching on
 //! magnitude beyond one `leading_zeros`. Percentiles are read by walking the

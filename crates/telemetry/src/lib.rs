@@ -20,7 +20,7 @@
 //! never blocks (a full channel increments a drop counter instead). The
 //! aggregator keeps a fixed-size log-bucketed [`hist::LatencyHistogram`] per
 //! span label, so [`snapshot`] reports p50/p90/p99 alongside the totals. A
-//! counting global allocator (see [`alloc_track`]) attributes heap
+//! counting global allocator (the `alloc_track` module) attributes heap
 //! allocations to the enclosing span, thread-locally. Without the feature
 //! both macros compile to no-ops: no timer reads, no thread, no allocator
 //! override — simulation results are byte-identical.

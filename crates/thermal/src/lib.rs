@@ -11,7 +11,8 @@
 //! * [`stack`] — layer stack and domain description (Fig. 4);
 //! * [`sparse`] / [`stencil`] / [`solver`] — CSR assembly, the 7-point
 //!   stencil storage the solver runs on, and warm-started
-//!   Jacobi-preconditioned CG, the only linear solver;
+//!   Jacobi-preconditioned CG, the only linear solver: one loop over one
+//!   right-hand side, which every simulation runs on its own state;
 //! * [`model`] — RC-network assembly, [`model::ThermalModel`] (steady) and
 //!   [`model::ThermalSim`] (transient, backward Euler, solved by CG);
 //! * [`frame`] — active-layer temperature snapshots consumed by the hotspot
@@ -57,11 +58,8 @@ pub use crate::analysis::{psi_tdp, PsiTdp, PAPER_THERMAL_BUDGET_C};
 pub use crate::export::{frame_to_csv, frame_to_ppm, write_ppm, ColorMap};
 pub use crate::frame::ThermalFrame;
 pub use crate::materials::Material;
-pub use crate::model::{step_lockstep, LockstepScratch, ThermalModel, ThermalSim};
-pub use crate::solver::{
-    solve_cg, solve_cg_multi, solve_cg_with, CgConfig, CgWorkspace, MultiCgWorkspace, SolveStats,
-    SpdOperator, MAX_LOCKSTEP_WIDTH,
-};
+pub use crate::model::{ThermalModel, ThermalSim};
+pub use crate::solver::{solve_cg, solve_cg_with, CgConfig, CgWorkspace, SolveStats, SpdOperator};
 pub use crate::stack::{Layer, StackDescription, DEFAULT_BORDER_M, HS483_FILM_COEFF};
 pub use crate::stencil::{Stencil7, StencilError};
 pub use crate::warmup::{initial_state, Warmup};

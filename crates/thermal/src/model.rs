@@ -26,10 +26,7 @@
 use std::sync::Arc;
 
 use crate::frame::ThermalFrame;
-use crate::solver::{
-    solve_cg, solve_cg_multi, solve_cg_with, CgConfig, CgWorkspace, MultiCgWorkspace, SolveStats,
-    SpdOperator, MAX_LOCKSTEP_WIDTH,
-};
+use crate::solver::{solve_cg, solve_cg_with, CgConfig, CgWorkspace, SolveStats, SpdOperator};
 use crate::sparse::TripletBuilder;
 use crate::stack::StackDescription;
 use crate::stencil::Stencil7;
@@ -211,28 +208,13 @@ impl ThermalModel {
     ///
     /// Panics if `die_power.len() != nx_die * ny_die`.
     pub fn inject_die_power(&self, die_power: &[f64]) -> Vec<f64> {
-        let mut q = vec![0.0; self.node_count()];
-        self.inject_die_power_into(die_power, &mut q);
-        q
-    }
-
-    /// Allocation-free variant of [`ThermalModel::inject_die_power`]: fills
-    /// a caller-owned full-domain buffer (used by the lockstep stepper,
-    /// which rebuilds the heat vector once per lane per step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `die_power.len() != nx_die * ny_die` or `q` is not
-    /// full-domain sized.
-    pub fn inject_die_power_into(&self, die_power: &[f64], q: &mut [f64]) {
         let s = &self.stack;
         assert_eq!(
             die_power.len(),
             s.nx_die * s.ny_die,
             "power map must cover the die grid"
         );
-        assert_eq!(q.len(), self.node_count(), "q must be full-domain sized");
-        q.fill(0.0);
+        let mut q = vec![0.0; self.node_count()];
         let b = s.border_cells;
         for dy in 0..s.ny_die {
             for dx in 0..s.nx_die {
@@ -240,6 +222,7 @@ impl ThermalModel {
                 q[i] = die_power[dy * s.nx_die + dx];
             }
         }
+        q
     }
 
     /// Steady-state temperatures for the given die power map (°C, full
@@ -295,9 +278,9 @@ impl ThermalModel {
 }
 
 /// Per-`Δt` cache: the assembled system matrix and the CG workspace
-/// prepared for it. The matrix is `Arc`-shared so cloned lockstep lanes
-/// (and the lane-shared multi-RHS solve) reference one copy instead of
-/// duplicating it per lane.
+/// prepared for it. The matrix is `Arc`-shared so the lanes of a batch,
+/// cloned from lane 0, reference one copy instead of duplicating it per
+/// lane.
 #[derive(Debug, Clone)]
 struct SysCache {
     dt: f64,
@@ -310,9 +293,9 @@ struct SysCache {
 /// CG workspace.
 ///
 /// Everything immutable is shared by a clone: the model, the system matrix
-/// and the CG preconditioner sit behind `Arc`s, so cloned lockstep lanes
-/// and the idle warm-up hold one copy per geometry. A clone owns only its
-/// state vectors and allocates solo CG scratch on its first solo step.
+/// and the CG preconditioner sit behind `Arc`s, so the cloned lanes of a
+/// batch and the idle warm-up hold one copy per geometry. A clone owns only
+/// its state vectors and allocates its CG scratch on its first step.
 #[derive(Debug, Clone)]
 pub struct ThermalSim {
     model: Arc<ThermalModel>,
@@ -497,158 +480,6 @@ impl ThermalSim {
             .map(|(t, c)| (t - ref_c) * c)
             .sum()
     }
-}
-
-/// Reusable scratch for [`step_lockstep`]: the node-major lane-minor SoA
-/// right-hand-side and solution blocks and the lane-shared multi-RHS CG
-/// workspace. Buffers are sized lazily on first use and grown whenever the
-/// lane count or grid changes; the run loop keeps one scratch per batch,
-/// for all of the batch's substeps.
-#[derive(Debug, Default)]
-pub struct LockstepScratch {
-    /// `[n × k]` SoA right-hand sides, `rhs[node*k + lane]`.
-    rhs: Vec<f64>,
-    /// `[n × k]` SoA solutions / warm-start guesses.
-    x: Vec<f64>,
-    /// Full-domain heat-vector staging for one lane at a time.
-    q: Vec<f64>,
-    /// CG workspace keyed by the system matrix it was preconditioned for
-    /// (rebuilt when the batch's `Δt` — and hence the matrix — changes).
-    cg: Option<(Arc<Stencil7>, MultiCgWorkspace)>,
-    /// Per-lane outcomes of the last step.
-    stats: Vec<SolveStats>,
-}
-
-impl LockstepScratch {
-    /// An empty scratch; buffers are allocated on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Advances `k` same-system simulations by `dt` in lockstep: one multi-RHS
-/// CG solve over a `[n × k]` SoA temperature block instead of `k`
-/// independent solves, streaming the matrix once for all lanes.
-///
-/// Every lane replicates the exact floating-point operation sequence of a
-/// solo [`ThermalSim::step`] — the rhs build, the warm-start extrapolation,
-/// and the per-lane solve columns (see [`solve_cg_multi`]) — so each lane's
-/// state and stats are bitwise identical to stepping that lane alone.
-/// Lanes that turn out heterogeneous (a different stack or CG config) fall
-/// back to per-lane solo steps, which is trivially exact.
-///
-/// The solve is shared through lane 0's cached system. Lanes built from an
-/// equal stack have bitwise identical matrices by deterministic
-/// construction; equal node counts alone do not suffice, since two cell
-/// sizes can round to the same grid.
-///
-/// Returns per-lane stats borrowed from `scratch`.
-///
-/// # Panics
-///
-/// Panics if `sims` is empty, lane counts mismatch, `k` exceeds
-/// [`MAX_LOCKSTEP_WIDTH`], or `dt` is not finite and positive.
-pub fn step_lockstep<'a>(
-    sims: &mut [&mut ThermalSim],
-    die_powers: &[&[f64]],
-    dt: f64,
-    scratch: &'a mut LockstepScratch,
-) -> &'a [SolveStats] {
-    let k = sims.len();
-    assert!(k >= 1, "lockstep step needs at least one lane");
-    assert!(
-        k <= MAX_LOCKSTEP_WIDTH,
-        "lane count over MAX_LOCKSTEP_WIDTH"
-    );
-    assert_eq!(k, die_powers.len(), "one power map per lane");
-    scratch.stats.clear();
-    if k == 1 {
-        let stats = sims[0].step(die_powers[0], dt);
-        scratch.stats.push(stats);
-        return &scratch.stats;
-    }
-    for sim in sims.iter_mut() {
-        sim.prepare(dt);
-    }
-    let model0 = Arc::clone(&sims[0].model);
-    let cg0 = sims[0].cg;
-    let homogeneous = sims
-        .iter()
-        .all(|s| (Arc::ptr_eq(&s.model, &model0) || s.model.stack == model0.stack) && s.cg == cg0);
-    if !homogeneous {
-        for (sim, power) in sims.iter_mut().zip(die_powers) {
-            let stats = sim.step(power, dt);
-            scratch.stats.push(stats);
-        }
-        return &scratch.stats;
-    }
-
-    let n = model0.node_count();
-    let nk = n * k;
-    scratch.rhs.resize(nk, 0.0);
-    scratch.x.resize(nk, 0.0);
-    scratch.q.resize(n, 0.0);
-    for (l, (sim, power)) in sims.iter_mut().zip(die_powers).enumerate() {
-        sim.model.inject_die_power_into(power, &mut scratch.q);
-        let amb = sim.model.stack.ambient_c;
-        // Same per-element arithmetic (and association) as the solo rhs
-        // build: q[i] += cap[i]/dt·t[i] + conv[i]·ambient.
-        for (i, &qi) in scratch.q.iter().enumerate() {
-            scratch.rhs[i * k + l] =
-                qi + (sim.model.cap[i] / dt * sim.t[i] + sim.model.conv[i] * amb);
-        }
-        // The solo warm start, verbatim: extrapolate 2·Tₙ − Tₙ₋₁ and save
-        // Tₙ in the same pass.
-        for (ti, pi) in sim.t.iter_mut().zip(sim.prev.iter_mut()) {
-            let tn = *ti;
-            if sim.have_prev {
-                *ti = 2.0 * tn - *pi;
-            }
-            *pi = tn;
-        }
-        sim.have_prev = true;
-        for (i, &ti) in sim.t.iter().enumerate() {
-            scratch.x[i * k + l] = ti;
-        }
-    }
-
-    {
-        let _span = hotgauge_telemetry::span!("solver.multi_rhs");
-        #[expect(
-            clippy::unreachable,
-            reason = "prepare() above filled sys for every lane"
-        )]
-        let Some(cache) = &sims[0].sys
-        else {
-            unreachable!("system prepared above")
-        };
-        let m = Arc::clone(&cache.m);
-        let rebuild = match &scratch.cg {
-            Some((prev_m, ws)) => !Arc::ptr_eq(prev_m, &m) || ws.k() != k,
-            None => true,
-        };
-        if rebuild {
-            scratch.cg = Some((Arc::clone(&m), MultiCgWorkspace::new(&*m, k)));
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "the rebuild branch above just filled scratch.cg"
-        )]
-        let (_, ws) = scratch.cg.as_mut().expect("workspace built above");
-        solve_cg_multi(&*m, &scratch.rhs, &mut scratch.x, &cg0, ws);
-        for stats in ws.stats() {
-            hotgauge_telemetry::counter!("thermal.cg_iterations", stats.iterations);
-            hotgauge_telemetry::counter!("thermal.cg_residual", stats.relative_residual);
-        }
-        scratch.stats.extend_from_slice(ws.stats());
-    }
-
-    for (l, sim) in sims.iter_mut().enumerate() {
-        for (i, ti) in sim.t.iter_mut().enumerate() {
-            *ti = scratch.x[i * k + l];
-        }
-    }
-    &scratch.stats
 }
 
 #[cfg(test)]
@@ -895,140 +726,6 @@ mod tests {
         assert!(model.conductance().to_csr().is_symmetric(0.0));
     }
 
-    /// Distinct per-lane power maps so lanes diverge immediately.
-    fn lane_powers(k: usize, cells: usize) -> Vec<Vec<f64>> {
-        (0..k)
-            .map(|l| {
-                (0..cells)
-                    .map(|i| 0.01 + 0.004 * ((i * (l + 3) + l) % 11) as f64)
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Steps `k` lockstep lanes and `k` solo twins through `steps` steps and
-    /// asserts bitwise-equal states and equal stats after every step.
-    fn assert_lockstep_matches_solo(k: usize, steps: usize) {
-        let s = stack_1d(9, 8);
-        let model = ThermalModel::new(s);
-        let cells = 9 * 8;
-        let powers = lane_powers(k, cells);
-        let make = |init: f64| ThermalSim::new(model.clone(), init);
-        let mut lock: Vec<ThermalSim> = (0..k).map(|l| make(40.0 + l as f64)).collect();
-        let mut solo: Vec<ThermalSim> = (0..k).map(|l| make(40.0 + l as f64)).collect();
-        let mut scratch = LockstepScratch::new();
-        for step in 0..steps {
-            let solo_stats: Vec<SolveStats> = solo
-                .iter_mut()
-                .zip(&powers)
-                .map(|(sim, p)| sim.step(p, 1e-3))
-                .collect();
-            let mut lanes: Vec<&mut ThermalSim> = lock.iter_mut().collect();
-            let maps: Vec<&[f64]> = powers.iter().map(|p| p.as_slice()).collect();
-            let lock_stats = step_lockstep(&mut lanes, &maps, 1e-3, &mut scratch).to_vec();
-            assert_eq!(lock_stats, solo_stats, "stats diverged at step {step}");
-            for (l, (a, b)) in lock.iter().zip(&solo).enumerate() {
-                for (i, (x, y)) in a.state().iter().zip(b.state()).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "lane {l} node {i} diverged at step {step}: {x} vs {y}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lockstep_cg_steps_are_bitwise_equal_to_solo_steps() {
-        for k in [1, 2, 4, 8] {
-            assert_lockstep_matches_solo(k, 5);
-        }
-    }
-
-    #[test]
-    fn lockstep_falls_back_to_solo_on_heterogeneous_lanes() {
-        // Same model, different CG configs: sharing lane 0's config would
-        // stop lane 1 at the wrong tolerance.
-        let model = ThermalModel::new(stack_1d(6, 6));
-        let powers = lane_powers(2, 36);
-        let mut a = ThermalSim::new(model.clone(), 40.0);
-        let mut b = ThermalSim::new(model, 41.0);
-        b.cg.tolerance = 1e-12;
-        let mut solo_a = a.clone();
-        let mut solo_b = b.clone();
-
-        let mut scratch = LockstepScratch::new();
-        for _ in 0..3 {
-            let mut lanes: Vec<&mut ThermalSim> = vec![&mut a, &mut b];
-            let maps: Vec<&[f64]> = powers.iter().map(|p| p.as_slice()).collect();
-            let lock = step_lockstep(&mut lanes, &maps, 1e-3, &mut scratch).to_vec();
-            let want = [solo_a.step(&powers[0], 1e-3), solo_b.step(&powers[1], 1e-3)];
-            assert_eq!(lock, want);
-            // The configs really differ in effect, or this would not test
-            // the fallback.
-            assert_ne!(want[0].iterations, want[1].iterations);
-        }
-        for (x, y) in a.state().iter().zip(solo_a.state()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in b.state().iter().zip(solo_b.state()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn lockstep_steps_lanes_of_different_stacks_solo_even_at_equal_node_counts() {
-        // Same grid, different cell size: equal node counts, different
-        // matrices. Sharing lane 0's system would step lane 1 wrongly.
-        let wide = StackDescription {
-            cell: 120e-6,
-            ..stack_1d(6, 6)
-        };
-        let mut a = ThermalSim::new(ThermalModel::new(stack_1d(6, 6)), 40.0);
-        let mut b = ThermalSim::new(ThermalModel::new(wide), 40.0);
-        assert_eq!(a.model().node_count(), b.model().node_count());
-        let powers = lane_powers(2, 36);
-        let mut solo_a = a.clone();
-        let mut solo_b = b.clone();
-        let mut scratch = LockstepScratch::new();
-        for _ in 0..3 {
-            let mut lanes: Vec<&mut ThermalSim> = vec![&mut a, &mut b];
-            let maps: Vec<&[f64]> = powers.iter().map(|p| p.as_slice()).collect();
-            step_lockstep(&mut lanes, &maps, 1e-3, &mut scratch);
-            solo_a.step(&powers[0], 1e-3);
-            solo_b.step(&powers[1], 1e-3);
-        }
-        assert_eq!(a.state(), solo_a.state());
-        assert_eq!(b.state(), solo_b.state());
-    }
-
-    #[test]
-    fn lockstep_scratch_survives_dt_and_width_changes() {
-        let model = ThermalModel::new(stack_1d(6, 6));
-        let powers = lane_powers(4, 36);
-        let mut lock: Vec<ThermalSim> = (0..4)
-            .map(|l| ThermalSim::new(model.clone(), 40.0 + l as f64))
-            .collect();
-        let mut solo: Vec<ThermalSim> = lock.clone();
-        let mut scratch = LockstepScratch::new();
-        // Width 4 at dt=1e-3, then width 3 at dt=2e-3 (forces workspace and
-        // buffer rebuilds), then back: the scratch must re-key correctly.
-        for (width, dt) in [(4usize, 1e-3), (3, 2e-3), (4, 1e-3)] {
-            let maps: Vec<&[f64]> = powers[..width].iter().map(|p| p.as_slice()).collect();
-            let mut lanes: Vec<&mut ThermalSim> = lock[..width].iter_mut().collect();
-            step_lockstep(&mut lanes, &maps, dt, &mut scratch);
-            for (sim, p) in solo[..width].iter_mut().zip(&powers) {
-                sim.step(p, dt);
-            }
-        }
-        for (a, b) in lock.iter().zip(&solo) {
-            for (x, y) in a.state().iter().zip(b.state()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
     /// The CG workspace of a prepared simulation.
     fn cg_workspace(sim: &ThermalSim) -> &CgWorkspace {
         &sim.sys
@@ -1038,11 +735,13 @@ mod tests {
     }
 
     /// Footprint regression: a lane cloned from a prepared simulation must
-    /// share every immutable part instead of copying it, and must not
-    /// allocate solo CG scratch while it only steps in lockstep.
+    /// share every immutable part instead of copying it, and must hold no
+    /// CG scratch until it steps; each lane that steps holds exactly its
+    /// own `r`, `p` and `Ap`.
     #[test]
-    fn clones_share_immutable_parts_and_allocate_solo_scratch_on_first_solo_step() {
+    fn clones_share_immutable_parts_and_allocate_scratch_on_first_step() {
         let model = ThermalModel::new(stack_1d(6, 6));
+        let n = model.node_count();
         let mut proto = ThermalSim::new(model, 40.0);
         proto.prepare(1e-3);
         let mut lanes = vec![proto.clone(), proto.clone()];
@@ -1051,26 +750,33 @@ mod tests {
             let (a, b) = (lane.sys.as_ref().unwrap(), proto.sys.as_ref().unwrap());
             assert!(Arc::ptr_eq(&a.m, &b.m));
             assert!(cg_workspace(lane).shares_preconditioner(cg_workspace(&proto)));
-            assert!(!cg_workspace(lane).has_scratch());
+            assert_eq!(cg_workspace(lane).iteration_words(), 0);
         }
 
-        let powers = lane_powers(2, 36);
-        let maps: Vec<&[f64]> = powers.iter().map(|p| p.as_slice()).collect();
-        let mut scratch = LockstepScratch::new();
+        // Each lane steps on its own power map and allocates only its own
+        // scratch; the template it was cloned from still holds none.
+        let powers: Vec<Vec<f64>> = (0..2)
+            .map(|l| {
+                (0..36)
+                    .map(|i| 0.01 + 0.004 * ((i * (l + 3) + l) % 11) as f64)
+                    .collect()
+            })
+            .collect();
         for _ in 0..3 {
-            let mut refs: Vec<&mut ThermalSim> = lanes.iter_mut().collect();
-            step_lockstep(&mut refs, &maps, 1e-3, &mut scratch);
+            for (lane, p) in lanes.iter_mut().zip(&powers) {
+                lane.step(p, 1e-3);
+            }
         }
-        assert!(lanes.iter().all(|l| !cg_workspace(l).has_scratch()));
+        for lane in &lanes {
+            assert_eq!(cg_workspace(lane).iteration_words(), 3 * n);
+            assert!(cg_workspace(lane).shares_preconditioner(cg_workspace(&proto)));
+        }
+        assert_ne!(lanes[0].state(), lanes[1].state());
+        assert_eq!(cg_workspace(&proto).iteration_words(), 0);
 
-        // A straggler finishing solo allocates its own scratch; a clone of
-        // it still starts without any.
-        lanes[0].step(&powers[0], 1e-3);
-        assert!(cg_workspace(&lanes[0]).has_scratch());
-        assert!(!cg_workspace(&lanes[1]).has_scratch());
-        assert!(!cg_workspace(&proto).has_scratch());
+        // A clone of a stepped simulation starts without scratch.
         let again = lanes[0].clone();
-        assert!(!cg_workspace(&again).has_scratch());
+        assert_eq!(cg_workspace(&again).iteration_words(), 0);
         assert!(cg_workspace(&again).shares_preconditioner(cg_workspace(&proto)));
     }
 }

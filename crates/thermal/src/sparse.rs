@@ -129,28 +129,6 @@ impl SpdOperator for CsrMatrix {
             *yi = acc;
         }
     }
-
-    /// Multi-RHS SpMV over a structure-of-arrays block: `x` and `y` hold
-    /// `k` interleaved columns in node-major, lane-minor order
-    /// (`x[node * k + lane]`), and each row's index list is streamed **once**
-    /// for all `k` lanes. Per lane the accumulation order is that of
-    /// [`SpdOperator::mul_vec`], so lane `l` of `y` is bitwise equal to
-    /// `mul_vec` on lane `l` of `x`.
-    fn mul_vec_multi(&self, k: usize, x: &[f64], y: &mut [f64]) {
-        assert!(k >= 1);
-        assert_eq!(x.len(), self.n * k);
-        assert_eq!(y.len(), self.n * k);
-        for (i, yrow) in y.chunks_exact_mut(k).enumerate() {
-            yrow.fill(0.0);
-            for nz in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let v = self.values[nz];
-                let xrow = &x[self.col_idx[nz] * k..self.col_idx[nz] * k + k];
-                for (yl, &xl) in yrow.iter_mut().zip(xrow) {
-                    *yl += v * xl;
-                }
-            }
-        }
-    }
 }
 
 /// Accumulates `(row, col, value)` triplets and assembles a [`CsrMatrix`],
@@ -378,43 +356,5 @@ mod tests {
         let expect: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
         assert!((q - expect).abs() < 1e-12);
         assert_eq!(y, a.mul_vec_alloc(&x));
-    }
-
-    #[test]
-    fn mul_vec_multi_is_bitwise_equal_per_lane() {
-        for n in [2usize, 17, 256] {
-            let a = random_matrix(n, 0xBADD + n as u64);
-            for k in [1usize, 3, 4, 8] {
-                // Lane l holds a distinct deterministic vector.
-                let lanes: Vec<Vec<f64>> = (0..k)
-                    .map(|l| {
-                        (0..n)
-                            .map(|i| ((i * 7 + l * 13) % 29) as f64 - 14.0)
-                            .collect()
-                    })
-                    .collect();
-                let mut x = vec![0.0; n * k];
-                for (l, lane) in lanes.iter().enumerate() {
-                    for i in 0..n {
-                        x[i * k + l] = lane[i];
-                    }
-                }
-                let mut y = vec![f64::NAN; n * k];
-                let mut pap = vec![f64::NAN; k];
-                a.mul_vec_dot_multi(k, &x, &mut y, &mut pap);
-                for (l, lane) in lanes.iter().enumerate() {
-                    let mut solo = vec![0.0; n];
-                    let solo_pap = a.mul_vec_dot(lane, &mut solo);
-                    for i in 0..n {
-                        assert_eq!(
-                            y[i * k + l].to_bits(),
-                            solo[i].to_bits(),
-                            "n={n} k={k} lane={l} node={i}"
-                        );
-                    }
-                    assert_eq!(pap[l].to_bits(), solo_pap.to_bits(), "n={n} k={k} lane={l}");
-                }
-            }
-        }
     }
 }

@@ -18,10 +18,10 @@
 //! row loop does: from `0.0`, one product per *stored* entry, in ascending
 //! column order (`−z, −y, −x, self, +x, +y, +z`). Absent neighbors are
 //! skipped rather than added as `0·x`, which could flip the sign of a zero.
-//! So `y`, the fused dots and every lockstep lane are bitwise equal to the
-//! [`CsrMatrix`] kernels on [`Stencil7::to_csr`].
+//! So `y` and the fused dot are bitwise equal to the [`CsrMatrix`] kernels
+//! on [`Stencil7::to_csr`].
 
-use crate::solver::{SpdOperator, MAX_LOCKSTEP_WIDTH};
+use crate::solver::SpdOperator;
 use crate::sparse::CsrMatrix;
 
 /// Why a matrix is not a symmetric 7-point stencil on the requested grid.
@@ -221,7 +221,7 @@ impl Stencil7 {
     /// Runs `row` on every x-row of the grid, in ascending node order, with
     /// the row's neighbor presence as const parameters.
     #[inline(always)]
-    fn for_each_row<R: RowKernel>(&self, row: &mut R) {
+    fn for_each_row(&self, row: &mut SpmvRow<'_, '_>) {
         let plane = self.nx * self.ny;
         for iz in 0..self.nz {
             for iy in 0..self.ny {
@@ -257,74 +257,11 @@ impl Stencil7 {
         let n = self.n();
         assert_eq!(x.len(), n);
         assert_eq!(y.len(), n);
-        let mut row = SoloRow { x, y, dot: -0.0 };
+        let mut row = SpmvRow { x, y, dot: -0.0 };
         self.for_each_row(&mut row);
         row.dot
     }
-
-    /// `y = A x` per lane over `[n × k]` node-major, lane-minor blocks, and
-    /// `pap[l] = xₗᵀ A xₗ` folded in ascending node order from `0.0`.
-    ///
-    /// One grid sweep serves every lane of a block of up to [`SWEEP_LANES`]
-    /// lanes, with the lane accumulators in registers and the width a
-    /// compile-time constant. Wider blocks (up to [`MAX_LOCKSTEP_WIDTH`])
-    /// sweep their first [`SWEEP_LANES`] lanes together and the rest one
-    /// lane at a time, at a runtime stride.
-    fn apply_multi(&self, k: usize, x: &[f64], y: &mut [f64], pap: &mut [f64]) {
-        assert!(
-            (1..=MAX_LOCKSTEP_WIDTH).contains(&k),
-            "lane count over MAX_LOCKSTEP_WIDTH"
-        );
-        let n = self.n();
-        assert_eq!(x.len(), n * k);
-        assert_eq!(y.len(), n * k);
-        assert_eq!(pap.len(), k);
-        match k {
-            1 => self.sweep_lanes::<1, 1>(k, 0, x, y, pap),
-            2 => self.sweep_lanes::<2, 2>(k, 0, x, y, pap),
-            3 => self.sweep_lanes::<3, 3>(k, 0, x, y, pap),
-            4 => self.sweep_lanes::<4, 4>(k, 0, x, y, pap),
-            5 => self.sweep_lanes::<5, 5>(k, 0, x, y, pap),
-            6 => self.sweep_lanes::<6, 6>(k, 0, x, y, pap),
-            7 => self.sweep_lanes::<7, 7>(k, 0, x, y, pap),
-            SWEEP_LANES => self.sweep_lanes::<SWEEP_LANES, SWEEP_LANES>(k, 0, x, y, pap),
-            _ => {
-                let (head, tail) = pap.split_at_mut(SWEEP_LANES);
-                self.sweep_lanes::<SWEEP_LANES, 0>(k, 0, x, y, head);
-                for (l, pl) in tail.iter_mut().enumerate() {
-                    let one = std::slice::from_mut(pl);
-                    self.sweep_lanes::<1, 0>(k, SWEEP_LANES + l, x, y, one);
-                }
-            }
-        }
-    }
-
-    /// One grid sweep over lanes `l0 .. l0 + W` of a `k`-lane block; `K` is
-    /// the block width as a constant (then `l0 == 0`), or `0` for a
-    /// runtime `k`.
-    fn sweep_lanes<const W: usize, const K: usize>(
-        &self,
-        k: usize,
-        l0: usize,
-        x: &[f64],
-        y: &mut [f64],
-        pap: &mut [f64],
-    ) {
-        let mut row = LaneRow::<W, K> {
-            k,
-            l0,
-            x,
-            y,
-            pap: [0.0; W],
-        };
-        self.for_each_row(&mut row);
-        pap.copy_from_slice(&row.pap);
-    }
 }
-
-/// The widest lane slice one lockstep sweep accumulates in registers: the
-/// sweep's default batch width.
-const SWEEP_LANES: usize = 8;
 
 impl SpdOperator for Stencil7 {
     fn n(&self) -> usize {
@@ -344,29 +281,10 @@ impl SpdOperator for Stencil7 {
     fn mul_vec_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
         self.apply(x, y)
     }
-
-    fn mul_vec_multi(&self, k: usize, x: &[f64], y: &mut [f64]) {
-        let mut pap = [0.0; MAX_LOCKSTEP_WIDTH];
-        self.apply_multi(k, x, y, &mut pap[..k.min(MAX_LOCKSTEP_WIDTH)]);
-    }
-
-    fn mul_vec_dot_multi(&self, k: usize, x: &[f64], y: &mut [f64], pap: &mut [f64]) {
-        self.apply_multi(k, x, y, pap);
-    }
 }
 
-/// One x-row of an SpMV, with the presence of the row below (`B`), south
-/// (`S`), north (`N`) and above (`U`) fixed at compile time.
-trait RowKernel {
-    fn run<const B: bool, const S: bool, const N: bool, const U: bool>(
-        &mut self,
-        a: &Stencil7,
-        base: usize,
-    );
-}
-
-/// The coefficient and operand slices of one x-row's neighbor rows, for
-/// the solo kernel. Absent neighbors get empty slices, never read.
+/// The coefficient and operand slices of one x-row's neighbor rows.
+/// Absent neighbors get empty slices, never read.
 struct Neighbors<'a> {
     below: (&'a [f64], &'a [f64]),
     south: (&'a [f64], &'a [f64]),
@@ -401,9 +319,9 @@ impl<'a> Neighbors<'a> {
     }
 }
 
-/// The solo (single right-hand side) row kernel, folding `x·y` into
-/// `dot` after each row.
-struct SoloRow<'a, 'b> {
+/// The row kernel of [`Stencil7::apply`], folding `x·y` into `dot` after
+/// each row.
+struct SpmvRow<'a, 'b> {
     x: &'a [f64],
     y: &'b mut [f64],
     dot: f64,
@@ -419,7 +337,9 @@ fn interior(s: &[f64], m: usize) -> &[f64] {
     }
 }
 
-impl RowKernel for SoloRow<'_, '_> {
+impl SpmvRow<'_, '_> {
+    /// One x-row of the SpMV, with the presence of the row below (`B`),
+    /// south (`S`), north (`N`) and above (`U`) fixed at compile time.
     #[inline(always)]
     fn run<const B: bool, const S: bool, const N: bool, const U: bool>(
         &mut self,
@@ -494,86 +414,6 @@ impl RowKernel for SoloRow<'_, '_> {
         }
         for (&xi, &yi) in xr.iter().zip(yr.iter()) {
             self.dot += xi * yi;
-        }
-    }
-}
-
-/// The lockstep row kernel: lanes `l0 .. l0 + W` of `[n × k]` node-major,
-/// lane-minor blocks (`x[node * k + lane]`). Per lane it adds the same
-/// terms in the same order as [`SoloRow`], into a register accumulator,
-/// and folds the lane's `x·y` into `pap` node by node. A nonzero `K` fixes
-/// the block width (and `l0 = 0`) at compile time.
-struct LaneRow<'a, 'b, const W: usize, const K: usize> {
-    k: usize,
-    l0: usize,
-    x: &'a [f64],
-    y: &'b mut [f64],
-    pap: [f64; W],
-}
-
-impl<const W: usize, const K: usize> LaneRow<'_, '_, W, K> {
-    /// Row `i` for every lane of the slice: its terms in ascending column
-    /// order, then the `pap` fold and the store.
-    #[inline(always)]
-    fn node<const B: bool, const S: bool, const N: bool, const U: bool>(
-        &mut self,
-        a: &Stencil7,
-        i: usize,
-        west: bool,
-        east: bool,
-    ) {
-        let (k, l0) = if K == 0 { (self.k, self.l0) } else { (K, 0) };
-        let (nx, plane, x) = (a.nx, a.nx * a.ny, self.x);
-        let lanes = |j: usize| &x[j * k + l0..][..W];
-        let mut acc = [0.0; W];
-        if B {
-            axpy(&mut acc, a.up[i - plane], lanes(i - plane));
-        }
-        if S {
-            axpy(&mut acc, a.north[i - nx], lanes(i - nx));
-        }
-        if west {
-            axpy(&mut acc, a.east[i - 1], lanes(i - 1));
-        }
-        axpy(&mut acc, a.diag[i], lanes(i));
-        if east {
-            axpy(&mut acc, a.east[i], lanes(i + 1));
-        }
-        if N {
-            axpy(&mut acc, a.north[i], lanes(i + nx));
-        }
-        if U {
-            axpy(&mut acc, a.up[i], lanes(i + plane));
-        }
-        for ((pl, &xl), &al) in self.pap.iter_mut().zip(lanes(i)).zip(&acc) {
-            *pl += xl * al;
-        }
-        self.y[i * k + l0..][..W].copy_from_slice(&acc);
-    }
-}
-
-/// One stencil term for every lane: `acc += c · x`.
-#[inline(always)]
-fn axpy<const W: usize>(acc: &mut [f64; W], c: f64, x: &[f64]) {
-    for (al, &xl) in acc.iter_mut().zip(x) {
-        *al += c * xl;
-    }
-}
-
-impl<const W: usize, const K: usize> RowKernel for LaneRow<'_, '_, W, K> {
-    #[inline(always)]
-    fn run<const B: bool, const S: bool, const N: bool, const U: bool>(
-        &mut self,
-        a: &Stencil7,
-        base: usize,
-    ) {
-        let nx = a.nx;
-        self.node::<B, S, N, U>(a, base, false, nx > 1);
-        for i in base + 1..base + nx.saturating_sub(1) {
-            self.node::<B, S, N, U>(a, i, true, true);
-        }
-        if nx > 1 {
-            self.node::<B, S, N, U>(a, base + nx - 1, true, false);
         }
     }
 }

@@ -3,13 +3,10 @@
 //! extents of 1 and 2 as well as wider ones, and on operands with negative
 //! and (signed) zero entries. Conversion must round-trip and must refuse a
 //! matrix that is not a symmetric 7-point stencil.
-#![recursion_limit = "256"]
 
 use proptest::prelude::*;
 
-use hotgauge_thermal::solver::{
-    solve_cg, solve_cg_multi, CgConfig, MultiCgWorkspace, SpdOperator, MAX_LOCKSTEP_WIDTH,
-};
+use hotgauge_thermal::solver::{solve_cg, CgConfig, SpdOperator};
 use hotgauge_thermal::sparse::{CsrMatrix, TripletBuilder};
 use hotgauge_thermal::stencil::{Stencil7, StencilError};
 
@@ -99,19 +96,6 @@ proptest! {
         let (da, ds) = (a.mul_vec_dot(&x, &mut ya), s.mul_vec_dot(&x, &mut ys));
         prop_assert_eq!(bits(&ya), bits(&ys));
         prop_assert!(da.to_bits() == ds.to_bits(), "mul_vec_dot on {:?}", [nx, ny, nz]);
-
-        for k in (1..=8).chain([MAX_LOCKSTEP_WIDTH]) {
-            let xk = operand(n * k, seed.wrapping_add(k as u64));
-            let (mut ya, mut ys) = (vec![f64::NAN; n * k], vec![f64::NAN; n * k]);
-            a.mul_vec_multi(k, &xk, &mut ya);
-            s.mul_vec_multi(k, &xk, &mut ys);
-            prop_assert!(bits(&ya) == bits(&ys), "mul_vec_multi k={}", k);
-            let (mut pa, mut ps) = (vec![f64::NAN; k], vec![f64::NAN; k]);
-            a.mul_vec_dot_multi(k, &xk, &mut ya, &mut pa);
-            s.mul_vec_dot_multi(k, &xk, &mut ys, &mut ps);
-            prop_assert_eq!(bits(&ya), bits(&ys));
-            prop_assert!(bits(&pa) == bits(&ps), "mul_vec_dot_multi k={}", k);
-        }
     }
 
     #[test]
@@ -149,26 +133,6 @@ proptest! {
         prop_assert_eq!(sa.iterations, ss.iterations);
         prop_assert_eq!(sa.relative_residual.to_bits(), ss.relative_residual.to_bits());
         prop_assert_eq!(bits(&xa), bits(&xs));
-
-        // Five lockstep lanes on the stencil against solo CSR solves.
-        let k = 5;
-        let rhs: Vec<Vec<f64>> = (0..k).map(|l| operand(n, seed + l as u64)).collect();
-        let mut block = vec![0.0; n * k];
-        for (l, lane) in rhs.iter().enumerate() {
-            for (i, &v) in lane.iter().enumerate() {
-                block[i * k + l] = v;
-            }
-        }
-        let mut x = vec![0.0; n * k];
-        let mut ws = MultiCgWorkspace::new(&s, k);
-        solve_cg_multi(&s, &block, &mut x, &cfg, &mut ws);
-        for (l, lane) in rhs.iter().enumerate() {
-            let mut solo = vec![0.0; n];
-            let stats = solve_cg(&a, lane, &mut solo, &cfg);
-            prop_assert!(ws.stats()[l] == stats, "lane {}", l);
-            let got: Vec<f64> = (0..n).map(|i| x[i * k + l]).collect();
-            prop_assert!(bits(&got) == bits(&solo), "lane {}", l);
-        }
     }
 
     #[test]
