@@ -2,7 +2,7 @@
 //! the paper motivates). Sweeps sensor latency and throttle depth and
 //! reports the severity/performance trade-off at 7 nm. The unthrottled
 //! baseline and the five policies differ only in `SimConfig::throttle`, so
-//! they run as one sweep whose lanes step in lockstep.
+//! they run as one sweep whose lanes share one construction.
 
 use hotgauge_core::experiments::Fidelity;
 use hotgauge_core::pipeline::{RunResult, SimConfig};

@@ -20,7 +20,7 @@
 //!
 //! `--run` pins the co-simulation run loop: one line per result of a fixed
 //! set of short runs (solo cold, idle and stop-at-first-hotspot runs, a
-//! 3-lane lockstep batch, a 5-job pooled sweep and a DVFS-throttled run),
+//! 3-lane batch, a 5-job pooled sweep and a DVFS-throttled run),
 //! each hashing every `RunResult` field except the config (see
 //! `hotgauge_bench::fingerprint::run_cases` and `run_hash`).
 //!

@@ -9,11 +9,10 @@
 //!   bins (default: one per hardware thread; results are bit-identical
 //!   either way). Sweep bins record the realized pool shape in their
 //!   manifests.
-//! * `--batch K` — lockstep batch width for sweep bins: up to `K`
-//!   same-geometry runs share one construction and advance together, at
-//!   most [`hotgauge_core::MAX_LOCKSTEP_WIDTH`] (default:
-//!   [`hotgauge_core::DEFAULT_BATCH_WIDTH`]; `1` disables batching; results
-//!   are bit-identical at every width).
+//! * `--batch K` — batch width for sweep bins: up to `K` same-geometry
+//!   runs share one construction, at most [`hotgauge_core::MAX_BATCH_WIDTH`]
+//!   (default: [`hotgauge_core::DEFAULT_BATCH_WIDTH`]; `1` disables
+//!   batching; results are bit-identical at every width).
 //! * `--store DIR` — route sweeps through the content-addressed result
 //!   store at DIR: unchanged runs are served from disk bit-identically,
 //!   fresh runs are persisted, and the manifest gains a `store` block with
@@ -74,7 +73,7 @@ impl BinArgs {
                         "usage: {tool} [--json PATH] [--threads N] [--batch K] [--store DIR [--delta PREV]] [--quiet]\n\
                          \x20 --json PATH        write the run manifest to PATH (`-` for stdout)\n\
                          \x20 --threads N        sweep worker-pool width (default: all hardware threads)\n\
-                         \x20 --batch K          lockstep batch width for sweeps (default: {}; 1 disables)\n\
+                         \x20 --batch K          runs sharing one construction in sweeps (default: {}; 1 disables)\n\
                          \x20 --store DIR        serve unchanged runs from the result store at DIR\n\
                          \x20 --delta PREV       with --store: only serve keys from PREV's index.json\n\
                          \x20 --quiet            suppress the human-readable tables",
@@ -113,13 +112,13 @@ impl BinArgs {
                         std::process::exit(2);
                     };
                     match v.parse::<usize>() {
-                        Ok(k) if (1..=hotgauge_core::MAX_LOCKSTEP_WIDTH).contains(&k) => {
+                        Ok(k) if (1..=hotgauge_core::MAX_BATCH_WIDTH).contains(&k) => {
                             batch = Some(k)
                         }
                         _ => {
                             eprintln!(
                                 "error: invalid batch width {v} (expected 1..={})",
-                                hotgauge_core::MAX_LOCKSTEP_WIDTH
+                                hotgauge_core::MAX_BATCH_WIDTH
                             );
                             std::process::exit(2);
                         }
@@ -172,7 +171,7 @@ impl BinArgs {
         }
     }
 
-    /// The `--batch` lockstep width for sweep bins, defaulting to
+    /// The `--batch` width for sweep bins, defaulting to
     /// [`hotgauge_core::DEFAULT_BATCH_WIDTH`] when the flag was not given.
     pub fn batch(&self) -> usize {
         self.batch.unwrap_or(hotgauge_core::DEFAULT_BATCH_WIDTH)
@@ -233,7 +232,7 @@ impl BinArgs {
 
     /// The environment-selected fidelity preset with the `--threads` and
     /// `--batch` overrides applied (0 = auto when `--threads` was not
-    /// given; the default lockstep width when `--batch` was not given).
+    /// given; the default batch width when `--batch` was not given).
     pub fn fidelity(&self) -> Fidelity {
         let mut fid = Fidelity::from_env();
         if let Some(n) = self.threads {

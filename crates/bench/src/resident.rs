@@ -35,7 +35,7 @@ options:
   --delta PREV   serve only keys present in PREV's index.json
                  (PREV is an index.json path or a store directory)
   --threads N    sweep thread budget (default: all hardware threads)
-  --batch K      lockstep batch width for the executor
+  --batch K      same-geometry runs sharing one construction
   --quiet        suppress the end-of-session summary on stderr
   --help         show this message
 
@@ -50,7 +50,7 @@ options:
   --json PATH    write the run manifest to PATH (`-` prints it compact on
                  one line after the rows, keeping stdout line-parseable)
   --threads N    sweep thread budget (default: all hardware threads)
-  --batch K      lockstep batch width for the executor
+  --batch K      same-geometry runs sharing one construction
   --quiet        suppress progress/summary output on stderr
   --help         show this message";
 
@@ -103,7 +103,7 @@ fn parse_resident(args: &[String], usage: &str) -> Result<Option<ResidentArgs>, 
             "--batch" => {
                 let v = take(&mut i)?;
                 match v.parse::<usize>() {
-                    Ok(k) if (1..=hotgauge_core::MAX_LOCKSTEP_WIDTH).contains(&k) => {
+                    Ok(k) if (1..=hotgauge_core::MAX_BATCH_WIDTH).contains(&k) => {
                         out.batch = Some(k)
                     }
                     _ => return Err(format!("invalid batch width {v}")),

@@ -1,13 +1,14 @@
 //! Golden fingerprints of the co-simulation run loop: solo cold, idle and
-//! stop-at-first-hotspot runs, a 3-lane lockstep batch with an early-stopping
+//! stop-at-first-hotspot runs, a 3-lane batch with an early-stopping
 //! lane, a pooled 5-job sweep on two geometries and a DVFS-throttled run,
 //! each hashed by `hotgauge_bench::fingerprint::run_hash` (the
 //! `stream_hash --run` harness). The first eleven hashes were recorded
 //! before the solo, overlap and lockstep loops were merged into one
-//! stepper. The `throttle` hash was recorded on the change that moved the
-//! throttle policy into `SimConfig` and its control loop into that stepper,
-//! where the eleven others held unchanged. Any change to what a run records
-//! changes at least one.
+//! stepper, which later became the run loop of one lane, a batch's lanes
+//! running one after another. The `throttle` hash was recorded on the
+//! change that moved the throttle policy into `SimConfig` and its control
+//! loop into the run loop, where the eleven others held unchanged. Any
+//! change to what a run records changes at least one.
 //!
 //! Every case runs inside this one test: the idle-warm-up memo and the
 //! activity-trace table are process-global, and one test per binary keeps

@@ -36,8 +36,8 @@ pub struct Fidelity {
     /// Thread budget: the [`crate::sweep`] executor's worker-pool width for
     /// the multi-run drivers (`0` = one per hardware thread).
     pub threads: usize,
-    /// Lockstep batch width for the multi-run drivers: up to this many
-    /// same-geometry runs share one construction and advance together
+    /// Batch width for the multi-run drivers: up to this many
+    /// same-geometry runs share one construction and run one after another
     /// (`1` disables batching; results are identical at every width).
     pub batch: usize,
 }

@@ -39,7 +39,6 @@ use crate::detect::HotspotParams;
 use crate::locations::HotspotCensus;
 use crate::series::TimeSeries;
 use crate::severity::SeverityParams;
-use crate::sweep::MAX_LOCKSTEP_WIDTH;
 use crate::throttle::{LaneThrottle, ThrottlePolicy};
 use crate::units;
 
@@ -278,7 +277,7 @@ pub struct WindowProgress {
 
 /// Runs many configurations on the sweep executor; results
 /// keep input order. `threads = 0` sizes the pool to the hardware. See
-/// [`crate::sweep`] for the executor and its lockstep batches.
+/// [`crate::sweep`] for the executor and its batches.
 pub fn run_many(cfgs: Vec<SimConfig>, threads: usize) -> Vec<RunResult> {
     crate::sweep::run_many_with(cfgs, threads, None)
 }
@@ -608,16 +607,57 @@ impl CoSimulation {
     }
 
     /// [`CoSimulation::run`] with a per-window liveness callback, so long
-    /// runs can report progress while they execute. The run is a one-lane
-    /// pass of the run loop every batch goes through, which advances each
-    /// lane's thermal state by [`ThermalSim::step`].
+    /// runs can report progress while they execute. This is the run loop of
+    /// every co-simulation, solo or in a [`crate::sweep::run_batch`] batch:
+    /// per window the perf/power window, then per substep one
+    /// [`ThermalSim::step`] and the frame analysis. The run ends when its
+    /// instruction or time budget runs out, or mid-window at the first
+    /// hotspot of a stop-at-first-hotspot run.
+    ///
+    /// `on_window` fires after each completed window, not for the window a
+    /// stop-at-first-hotspot run stops in.
     pub fn run_with_progress(self, on_window: Option<&dyn Fn(WindowProgress)>) -> RunResult {
-        let on_lane_window = |_lane: usize, p: WindowProgress| {
-            if let Some(cb) = on_window {
-                cb(p);
+        let substeps = self.cfg.substeps;
+        let dt_sub = self.cfg.window_seconds() / substeps as f64;
+        let mut lane = Lane::new(self);
+        let mut windows = 0;
+        'run: while lane.instructions < lane.sim.cfg.max_instructions
+            && lane.time_s < lane.sim.cfg.max_time_s
+        {
+            let throttled = lane.throttle.as_mut().and_then(LaneThrottle::begin_window);
+            let w = lane.sim.produce_window(throttled);
+            lane.instructions += w.instr_delta;
+            counter!("pipeline.substeps", substeps);
+            for _ in 0..substeps {
+                {
+                    let _stage = span!("stage.thermal");
+                    lane.sim.thermal.step(&w.power_map, dt_sub);
+                }
+                if !lane.analyze_substep(dt_sub, w.power_w, w.ipc) {
+                    // Stop-at-first-hotspot: the run ends mid-window, so its
+                    // ΔT histogram skips this window.
+                    break 'run;
+                }
             }
-        };
-        run_lanes(vec![self], None, Some(&on_lane_window)).swap_remove(0)
+            if let Some((ref h, _, ref mut counts)) = lane.delta_counts {
+                accumulate_deltas(h, counts, &w.frame_before, &lane.sim.thermal.die_frame());
+            }
+            if let (Some(t), Some(&sev)) = (&mut lane.throttle, lane.sev_series.values.last()) {
+                t.end_window(sev);
+            }
+            windows += 1;
+            if let Some(cb) = on_window {
+                let cfg = &lane.sim.cfg;
+                cb(WindowProgress {
+                    windows,
+                    time_s: lane.time_s,
+                    instructions: lane.instructions,
+                    max_instructions: cfg.max_instructions,
+                    max_time_s: cfg.max_time_s,
+                });
+            }
+        }
+        lane.finish()
     }
 
     /// Stages 1–3 of the per-window loop: one perf sample, the power
@@ -684,141 +724,13 @@ impl CoSimulation {
 /// [`crate::sweep::geom_key`] adopts a clone of lane 0's parts, skipping the
 /// floorplan build, the two rasterizations, the power-model assembly and the
 /// thermal-system preparation, and sharing lane 0's prepared matrix.
+#[derive(Clone)]
 pub(crate) struct GeomParts {
     pub(crate) fp: Floorplan,
     pub(crate) grid: FloorplanGrid,
     pub(crate) grid_peaked: FloorplanGrid,
     pub(crate) power: PowerModel,
     pub(crate) thermal: ThermalSim,
-}
-
-/// The run loop of every co-simulation: advances `sims` window by window
-/// and substep by substep in lockstep and returns each lane's result in
-/// lane order. Every still-running lane produces its perf/power window,
-/// then each takes its own [`ThermalSim::step`] per substep. Lanes drop out
-/// independently: a stop-at-first-hotspot lane that trips, or a lane whose
-/// instruction/time budget runs out, takes no further steps while its
-/// batch mates continue.
-///
-/// Each result is **bit-identical** to a solo run of that lane: a solo run
-/// is one lane, and a lane's state is touched only by its own steps, in
-/// the same order, whatever its batch mates do.
-///
-/// `on_lane_done` fires with the lane index as each lane finishes (sweep
-/// liveness); `on_window` fires with the lane index after each window a lane
-/// completes — not for the window a stop-at-first-hotspot lane stops in.
-///
-/// # Panics
-///
-/// Panics when `sims` is empty, wider than [`MAX_LOCKSTEP_WIDTH`], or mixes
-/// substep counts.
-pub(crate) fn run_lanes(
-    sims: Vec<CoSimulation>,
-    on_lane_done: Option<&dyn Fn(usize)>,
-    on_window: Option<&dyn Fn(usize, WindowProgress)>,
-) -> Vec<RunResult> {
-    let k = sims.len();
-    assert!(k >= 1, "a batch needs at least one lane");
-    assert!(
-        k <= MAX_LOCKSTEP_WIDTH,
-        "batch width {k} exceeds MAX_LOCKSTEP_WIDTH ({MAX_LOCKSTEP_WIDTH})"
-    );
-    let substeps = sims[0].cfg.substeps;
-    assert!(
-        sims.iter().all(|s| s.cfg.substeps == substeps),
-        "lockstep lanes must share a substep count"
-    );
-    let dt_sub = sims[0].cfg.window_seconds() / substeps as f64;
-    let lane_done = |i: usize| {
-        if let Some(cb) = on_lane_done {
-            cb(i);
-        }
-    };
-
-    let mut lanes: Vec<Lane> = sims.into_iter().map(Lane::new).collect();
-    loop {
-        // Window start: every unfinished lane with budget left produces its
-        // perf/power window; a lane whose budget ran out finishes here.
-        let mut any = false;
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            if lane.finished {
-                continue;
-            }
-            let cfg = &lane.sim.cfg;
-            if !(lane.instructions < cfg.max_instructions && lane.time_s < cfg.max_time_s) {
-                lane.finished = true;
-                lane_done(i);
-                continue;
-            }
-            let throttled = lane.throttle.as_mut().and_then(LaneThrottle::begin_window);
-            let w = lane.sim.produce_window(throttled);
-            lane.instructions += w.instr_delta;
-            counter!("pipeline.substeps", substeps);
-            lane.window = Some(w);
-            any = true;
-        }
-        if !any {
-            break;
-        }
-
-        for _ in 0..substeps {
-            // The lanes still in this window each take their own step: a
-            // lane that stopped at substep s takes no thermal step at s + 1.
-            if lanes.iter().all(|lane| lane.window.is_none()) {
-                break;
-            }
-            {
-                let _stage = span!("stage.thermal");
-                for lane in lanes.iter_mut() {
-                    if let Some(w) = &lane.window {
-                        lane.sim.thermal.step(&w.power_map, dt_sub);
-                    }
-                }
-            }
-
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                let Some((power_w, ipc)) = lane.window.as_ref().map(|w| (w.power_w, w.ipc)) else {
-                    continue;
-                };
-                if !lane.analyze_substep(dt_sub, power_w, ipc) {
-                    // Stop-at-first-hotspot: the lane ends mid-window, so it
-                    // takes no further steps and its ΔT histogram skips
-                    // this window.
-                    lane.finished = true;
-                    lane.window = None;
-                    lane_done(i);
-                }
-            }
-        }
-
-        // Window end for the lanes that completed all substeps.
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let Some(w) = lane.window.take() else {
-                continue;
-            };
-            if let Some((ref h, _, ref mut counts)) = lane.delta_counts {
-                accumulate_deltas(h, counts, &w.frame_before, &lane.sim.thermal.die_frame());
-            }
-            if let (Some(t), Some(&sev)) = (&mut lane.throttle, lane.sev_series.values.last()) {
-                t.end_window(sev);
-            }
-            lane.windows += 1;
-            if let Some(cb) = on_window {
-                let cfg = &lane.sim.cfg;
-                cb(
-                    i,
-                    WindowProgress {
-                        windows: lane.windows,
-                        time_s: lane.time_s,
-                        instructions: lane.instructions,
-                        max_instructions: cfg.max_instructions,
-                        max_time_s: cfg.max_time_s,
-                    },
-                );
-            }
-        }
-    }
-    lanes.into_iter().map(Lane::finish).collect()
 }
 
 /// One produced perf/power window, ready for thermal substepping.
@@ -832,8 +744,8 @@ struct WindowOutput {
     frame_before: ThermalFrame,
 }
 
-/// One co-simulation inside [`run_lanes`]: its models, its loop state and
-/// the per-substep analysis accumulators.
+/// One co-simulation inside [`CoSimulation::run_with_progress`]: its
+/// models, its loop state and the per-substep analysis accumulators.
 struct Lane {
     sim: CoSimulation,
     analyzer: FrameAnalyzer,
@@ -845,12 +757,6 @@ struct Lane {
     throttle: Option<LaneThrottle>,
     time_s: f64,
     instructions: u64,
-    /// Windows completed through all their substeps.
-    windows: u64,
-    /// The window being substepped; `None` between windows and once the
-    /// lane has finished.
-    window: Option<WindowOutput>,
-    finished: bool,
     delta_counts: Option<(HistSpec, Vec<f64>, Vec<usize>)>,
     records: Vec<StepRecord>,
     sev_series: TimeSeries,
@@ -901,9 +807,6 @@ impl Lane {
             throttle,
             time_s: 0.0,
             instructions: 0,
-            windows: 0,
-            window: None,
-            finished: false,
             delta_counts,
             records: Vec::new(),
             sev_series: TimeSeries::default(),
@@ -1248,7 +1151,7 @@ mod tests {
     #[test]
     fn batched_lanes_reproduce_serial_runs_bitwise() {
         // Mixed workloads, seeds, horizons, and one ΔT histogram — the lane
-        // with the longer horizon keeps stepping after its mates finish.
+        // with the longer horizon runs on after its mates have finished.
         let a = quick_cfg();
         let mut b = quick_cfg();
         b.benchmark = "povray".into();
@@ -1272,9 +1175,9 @@ mod tests {
 
     #[test]
     fn batched_stop_lane_stops_alone_and_matches_serial() {
-        // One TUH lane (with the prefilter engaged) trips mid-run and must
-        // stop stepping while its batch mate, which shares its prepared
-        // thermal system, runs on to the horizon unperturbed.
+        // One TUH lane (with the prefilter engaged) trips mid-run and
+        // stops, and its batch mate, which shares its prepared thermal
+        // system, runs on to the horizon unperturbed.
         let mut hot = quick_cfg();
         hot.stop_at_first_hotspot = true;
         hot.detect.t_threshold_c = 48.0;
@@ -1307,9 +1210,8 @@ mod tests {
     #[test]
     fn mixed_geometry_batch_falls_back_per_lane_and_stays_exact() {
         // Different cell sizes mean different geometry keys: lane 1 builds
-        // its own parts instead of cloning lane 0's, and the two step side
-        // by side on different grids; results must still be bit-identical
-        // to independent runs.
+        // its own parts instead of adopting lane 0's, and runs on its own
+        // grid; results must still be bit-identical to independent runs.
         let a = quick_cfg();
         let mut b = quick_cfg();
         b.cell_um = 360.0;

@@ -3,35 +3,31 @@
 //! The figure sweeps (Fig. 10/11, §V-B) are wide grids of independent
 //! co-simulation runs. The executor here runs such a grid on a fixed pool
 //! of workers claiming work items, widest first, from one shared counter.
-//! Each item is one [`run_batch`] call, which builds every lane from its
-//! config: lane 0 builds its geometry (floorplan, rasterized grids, power
-//! model, prepared thermal system) and same-geometry mates clone lane 0's
-//! parts. Nothing outlives the item, so a worker carries no state from one
-//! item to the next.
-//!
-//! On top of the pool sits the **lockstep batch engine**: jobs sharing a
-//! geometry key (every config field the model parts depend on, see
-//! `geom_key`) are grouped (first-seen key order) and split into batches
-//! of up to [`DEFAULT_BATCH_WIDTH`] runs, narrowed where that balances the
-//! pool (see `partition`). Each batch advances window by window through
-//! the pipeline's run loop, where every lane takes its own thermal step;
-//! what the batch shares is lane 0's constructed parts. Batches of one
-//! job — singleton geometries, or groups split down to single lanes — are
-//! one-lane passes of the same loop.
+//! Each item is one [`run_batch`] call: jobs sharing a geometry key (every
+//! config field the model parts depend on, see `geom_key`) are grouped
+//! (first-seen key order) and split into batches of up to
+//! [`DEFAULT_BATCH_WIDTH`] runs, narrowed where that balances the pool (see
+//! `partition`). A batch shares one construction: lane 0 builds its
+//! geometry (floorplan, rasterized grids, power model, prepared thermal
+//! system) and same-geometry mates adopt a clone of lane 0's parts. The
+//! lanes then run one after another, each to completion through the
+//! pipeline's one run loop, and each is dropped before the next is built.
+//! Nothing outlives the item, so a worker carries no state from one item
+//! to the next.
 //!
 //! Results are **order-preserving and bit-identical** to running each
 //! config through [`crate::pipeline::run_sim`] serially: the scheduler only
-//! decides *where and how wide* a run executes — a mate's cloned thermal
-//! state is reset to exactly the fresh-construction state, and each lane's
-//! state is advanced only by its own steps (`tests/sweep_equivalence.rs`
-//! pins all of it down).
+//! decides *where* a run executes and which construction it shares — a
+//! mate's cloned thermal state is reset to exactly the fresh-construction
+//! state, and each lane's state is advanced only by its own steps
+//! (`tests/sweep_equivalence.rs` pins all of it down).
 //!
 //! Telemetry: `sweep.jobs` / `sweep.completions` count scheduled and
 //! finished runs (always equal), `sweep.items` counts the work items the
 //! partition produced, and `solver.batch_width` / `solver.lockstep_runs`
-//! record the widths of scheduled lockstep batches wider than one lane and
-//! the runs executed through them; the whole pool runs under a
-//! `sweep.executor` span.
+//! record the widths of scheduled batches wider than one lane and the runs
+//! executed through them; the whole pool runs under a `sweep.executor`
+//! span.
 
 use std::cmp::Reverse;
 use std::ops::Range;
@@ -39,20 +35,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hotgauge_telemetry::{counter, span};
 
-use crate::pipeline::{run_lanes, CoSimulation, RunResult, SimConfig, SweepProgress};
+use crate::pipeline::{CoSimulation, GeomParts, RunResult, SimConfig, SweepProgress};
 
-/// Default width of a lockstep batch: up to eight same-geometry jobs share
-/// one work item. What a batch buys is shared construction: the mates
-/// clone lane 0's floorplan, rasterized grids, power model and prepared
-/// thermal system instead of rebuilding them. Every lane keeps its own core
-/// model and thermal state live until the item ends, so a wider batch
-/// holds more memory at once; capped by [`MAX_LOCKSTEP_WIDTH`] either way.
+/// Default batch width: up to eight same-geometry jobs share one work
+/// item. What a batch buys is shared construction: the mates adopt lane 0's
+/// floorplan, rasterized grids, power model and prepared thermal system
+/// instead of rebuilding them. The lanes run one after another, so a wider
+/// batch holds no more lanes live; capped by [`MAX_BATCH_WIDTH`] either way.
 pub const DEFAULT_BATCH_WIDTH: usize = 8;
 
-/// Widest batch: how many lanes one work item holds live at once. It
-/// bounds [`run_batch`], clamps [`run_many_batched_with`]'s width and
-/// validates the `--batch` option, which is outside input.
-pub const MAX_LOCKSTEP_WIDTH: usize = 16;
+/// Widest batch: how many runs may share one construction. It clamps
+/// [`run_many_batched_with`]'s width and validates the `--batch` option,
+/// which is outside input.
+pub const MAX_BATCH_WIDTH: usize = 16;
 
 /// The geometry key of a config: every [`SimConfig`] field the floorplan,
 /// rasterized grids, power model, thermal stack, or prepared thermal system
@@ -77,45 +72,53 @@ pub(crate) fn geom_key(cfg: &SimConfig) -> String {
     key
 }
 
-/// Runs a batch of configurations in lockstep: lane 0 builds its geometry,
-/// the lanes of lane 0's geometry key clone its parts — sharing the
-/// prepared backward-Euler matrix — and all lanes advance window by window
-/// together, each taking its own thermal steps. A lane of another geometry
-/// builds its own parts. Each result is bit-identical to `run_sim` of that
-/// configuration. `on_lane_done` fires with the lane index as each lane
-/// finishes.
+/// Runs a batch of configurations one after another, sharing one
+/// construction: lane 0 builds its geometry, and a later lane of lane 0's
+/// geometry key adopts a clone of lane 0's parts, sharing the prepared
+/// backward-Euler matrix and its preconditioner. A lane of another geometry
+/// builds its own parts. Each lane is built only after the one before it
+/// has finished, runs to completion through
+/// [`CoSimulation::run_with_progress`] and is dropped, so the batch holds
+/// one live lane at a time plus, when a later lane can adopt it, one
+/// template of lane 0's parts. Each result is bit-identical to `run_sim` of
+/// that configuration. `on_lane_done` fires with the lane index as each
+/// lane finishes.
 ///
 /// # Panics
 ///
-/// Panics if `cfgs` is empty, wider than [`MAX_LOCKSTEP_WIDTH`], mixes
-/// substep counts, or is invalid, like [`crate::pipeline::run_sim`]
+/// Panics if `cfgs` is empty or invalid, like [`crate::pipeline::run_sim`]
 /// (user-input paths validate through [`CoSimulation::try_new`] first).
 pub fn run_batch(cfgs: Vec<SimConfig>, on_lane_done: Option<&dyn Fn(usize)>) -> Vec<RunResult> {
     assert!(!cfgs.is_empty(), "a batch needs at least one configuration");
     let key = geom_key(&cfgs[0]);
-    let mut lanes: Vec<CoSimulation> = Vec::with_capacity(cfgs.len());
-    for cfg in cfgs {
-        // Lane 0 builds its parts. A mate of lane 0's key clones them
-        // instead of rebuilding: same-key parts are bit-identical by
-        // construction, and the clone shares the prepared matrix and its
-        // preconditioner.
-        let geom = lanes
-            .first()
-            .filter(|_| geom_key(&cfg) == key)
-            .map(CoSimulation::clone_geom_parts);
+    let mates = cfgs[1..].iter().any(|c| geom_key(c) == key);
+    if cfgs.len() > 1 {
+        counter!("solver.batch_width", cfgs.len());
+        counter!("solver.lockstep_runs", cfgs.len());
+    }
+    let mut template: Option<GeomParts> = None;
+    let mut results = Vec::with_capacity(cfgs.len());
+    for (i, cfg) in cfgs.into_iter().enumerate() {
+        // A mate of lane 0's key adopts the template instead of rebuilding:
+        // same-key parts are bit-identical by construction.
+        let geom = template.as_ref().filter(|_| geom_key(&cfg) == key).cloned();
         #[expect(
             clippy::panic,
             reason = "programmatic entry point mirroring run_sim/CoSimulation::new; user-input paths validate through try_new and exit 2"
         )]
         let sim = CoSimulation::try_new_reusing(cfg, geom)
             .unwrap_or_else(|e| panic!("invalid simulation config: {e}"));
-        lanes.push(sim);
+        // Lane 0's parts, taken before it steps (so without CG scratch), and
+        // only when a later lane adopts them: a one-lane batch clones nothing.
+        if i == 0 && mates {
+            template = Some(sim.clone_geom_parts());
+        }
+        results.push(sim.run());
+        if let Some(cb) = on_lane_done {
+            cb(i);
+        }
     }
-    if lanes.len() > 1 {
-        counter!("solver.batch_width", lanes.len());
-        counter!("solver.lockstep_runs", lanes.len());
-    }
-    run_lanes(lanes, on_lane_done, None)
+    results
 }
 
 /// The worker-pool width a sweep of `jobs` runs will use for a `--threads`
@@ -149,8 +152,8 @@ fn resolved_threads(threads: usize) -> usize {
 /// returns immediately for any `threads`. `on_done` is invoked from worker
 /// threads as each run finishes (sweep liveness for long experiments).
 ///
-/// Same-geometry jobs run in lockstep batches of [`DEFAULT_BATCH_WIDTH`];
-/// use [`run_many_batched_with`] to pick another width (or `1` to disable
+/// Same-geometry jobs run in batches of [`DEFAULT_BATCH_WIDTH`]; use
+/// [`run_many_batched_with`] to pick another width (or `1` to disable
 /// batching). Results are identical either way.
 pub fn run_many_with(
     cfgs: Vec<SimConfig>,
@@ -160,13 +163,13 @@ pub fn run_many_with(
     run_many_batched_with(cfgs, threads, DEFAULT_BATCH_WIDTH, on_done)
 }
 
-/// [`run_many_with`] with an explicit lockstep batch width: jobs of one
-/// geometry key are grouped (first-seen key order) and run up to `batch`
-/// at a time through [`run_batch`]; `batch <= 1` disables batching and
-/// runs every job as a one-lane batch. The width is clamped to
-/// [`MAX_LOCKSTEP_WIDTH`], and groups are split narrower where that
-/// balances the lanes across the pool (see `partition`). Neither ever
-/// changes any result — only how many runs share one construction.
+/// [`run_many_with`] with an explicit batch width: jobs of one geometry key
+/// are grouped (first-seen key order) and run up to `batch` at a time
+/// through [`run_batch`]; `batch <= 1` disables batching and runs every job
+/// as a one-lane batch. The width is clamped to [`MAX_BATCH_WIDTH`], and
+/// groups are split narrower where that balances the lanes across the pool
+/// (see `partition`). Neither ever changes any result — only how many runs
+/// share one construction.
 #[expect(
     clippy::expect_used,
     reason = "every work item is claimed by exactly one worker before the scope joins, so every slot is Some; a worker panic already propagated at scope exit"
@@ -183,7 +186,7 @@ pub fn run_many_batched_with(
     }
     let _executor = span!("sweep.executor");
     counter!("sweep.jobs", n);
-    let batch = batch.clamp(1, MAX_LOCKSTEP_WIDTH);
+    let batch = batch.clamp(1, MAX_BATCH_WIDTH);
 
     // The pool's work items: input-ordered index batches of same-geometry
     // jobs, widest first. With `batch == 1` every job is its own item.
@@ -461,17 +464,19 @@ mod tests {
 
     #[test]
     fn mixed_geometry_batch_runs_every_lane_on_its_own_geometry() {
-        // Batch 1: another cell size and another node beside lane 0.
-        // Batch 2: a 302 µm grid with exactly as many thermal nodes as
-        // lane 0's 300 µm grid, but a different matrix.
+        // Batch 1: another cell size, another node and another substep
+        // count beside lane 0. Batch 2: a 302 µm grid with exactly as many
+        // thermal nodes as lane 0's 300 µm grid, but a different matrix.
         let mut coarse = quick_cfg("povray");
         coarse.cell_um = 360.0;
         let mut n14 = quick_cfg("gcc");
         n14.node = TechNode::N14;
+        let mut two_substeps = quick_cfg("povray");
+        two_substeps.substeps = 2;
         let mut near = quick_cfg("gcc");
         near.cell_um = 302.0;
         let batches = [
-            vec![quick_cfg("hmmer"), coarse, n14],
+            vec![quick_cfg("hmmer"), coarse, n14, two_substeps],
             vec![quick_cfg("hmmer"), near],
         ];
         for cfgs in batches {

@@ -22,9 +22,9 @@
 //! [`GateConfig::gate_counters`] is set, or the counter's label matches one
 //! of the [`GateConfig::gate_counter_prefixes`] (repeatable
 //! `--gate-counter PREFIX`). The prefix form lets CI gate the counters that
-//! *are* performance promises — e.g. `solver.` pins the lockstep batch
-//! shape and `analysis.simd_rows` the vectorized-row coverage — while CG
-//! iteration counts stay informational.
+//! *are* performance promises — e.g. `solver.` pins the batch shape (how
+//! many runs share one construction) and `analysis.simd_rows` the
+//! vectorized-row coverage — while CG iteration counts stay informational.
 //!
 //! Span tail latency can be made a hard promise with
 //! `--gate-span-p99 SPAN=PCT` (repeatable): the span's `p99_s` is gated at
@@ -1021,7 +1021,7 @@ mod tests {
             133.0,
         );
         // Both counters drift: CG iterations (+50%, a fidelity question)
-        // and the lockstep run count (+50%, a batching promise).
+        // and the batched run count (+50%, a batching promise).
         let mut cand = with_counter(
             manifest_with(2.0, 0.03, 10_000),
             "solver.lockstep_runs",

@@ -98,7 +98,8 @@ pub struct ServeOptions {
     pub fidelity: Fidelity,
     /// Sweep thread budget (`0` = hardware threads).
     pub threads: usize,
-    /// Lockstep batch width for the executor.
+    /// Batch width for the executor: how many same-geometry runs share one
+    /// construction.
     pub batch: usize,
 }
 

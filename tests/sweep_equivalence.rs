@@ -2,11 +2,11 @@
 //!
 //! The contract under test (`hotgauge_core::sweep`): running a batch of
 //! configurations through the pooled executor — at any pool width and any
-//! lockstep batch width — produces **bit-identical, order-preserving**
-//! results to running each configuration through the serial `run_sim`
-//! path. Proptest generates heterogeneous batches (mixed benchmarks, nodes,
-//! grid geometries, seeds) so the lockstep grouper sees full batches,
-//! stragglers, and singleton geometries that run as one-lane batches.
+//! batch width — produces **bit-identical, order-preserving** results to
+//! running each configuration through the serial `run_sim` path. Proptest
+//! generates heterogeneous batches (mixed benchmarks, nodes, grid
+//! geometries, seeds) so the batch grouper sees full batches, stragglers,
+//! and singleton geometries that run as one-lane batches.
 //!
 //! All tests share one process-wide gate: the telemetry recorder is global,
 //! so the counter-invariant checks must not interleave with other sweeps in
@@ -76,8 +76,8 @@ fn low_trigger() -> ThrottlePolicy {
 }
 
 /// Heterogeneous sweep entries: SPEC proxies and server traces over several
-/// geometries (so lockstep groups form and split), varying seeds, target cores,
-/// substep counts and throttle policies (a policy never splits a lockstep
+/// geometries (so batch groups form and split), varying seeds, target cores,
+/// substep counts and throttle policies (a policy never splits a batch
 /// group, so throttled and unthrottled lanes share batches).
 /// Every dimension is sliced deterministically out of one entropy word.
 fn cfg_from_entropy(bits: u64) -> SimConfig {
@@ -124,7 +124,7 @@ proptest! {
         }
     }
 
-    // The lockstep differential: explicit batch widths (full batches,
+    // The batch differential: explicit batch widths (full batches,
     // stragglers, singleton-geometry fallbacks — whatever the generated
     // geometry mix produces) against the same serial `run_sim` reference,
     // on a one-worker pool.
@@ -343,9 +343,9 @@ fn degenerate_batch_shapes() {
     assert_eq!(two[1].config.benchmark, "povray");
 }
 
-/// Per-lane stop and prefilter behaviour inside a lockstep batch: a lane
-/// that trips its hotspot threshold stops early (a straggler the rest of
-/// the batch keeps running past), a prefiltered sub-threshold stop lane
+/// Per-lane stop and prefilter behaviour inside a batch: a lane that trips
+/// its hotspot threshold stops early (a straggler whose batch mates run
+/// past it to the horizon), a prefiltered sub-threshold stop lane
 /// skips its per-substep analysis, and a lane whose geometry matches no one
 /// runs as a one-lane batch — all bit-identical to serial.
 #[test]
@@ -386,7 +386,7 @@ fn lockstep_stop_prefilter_and_fallback_lanes_match_serial() {
     }
 }
 
-/// Throttled lanes in lockstep: lanes under different policies, an
+/// Throttled lanes in one batch: lanes under different policies, an
 /// unthrottled lane and a throttled lane that stops at its first hotspot
 /// share one `run_batch` batch, and every lane equals its solo run bit for
 /// bit.
@@ -487,8 +487,8 @@ fn fig11_shaped_grid_on_two_workers_matches_serial_reference() {
 }
 
 /// Executor telemetry is self-consistent: every scheduled job completes
-/// exactly once, the partition's items carry every run, and lockstep
-/// batches account for every run they carry.
+/// exactly once, the partition's items carry every run, and batches wider
+/// than one lane account for every run they carry.
 // hotgauge-lint: allow(L002, "this test reads the recorder's snapshot API directly, which only exists under the feature; the facade macros cannot gate a whole #[test] fn")
 #[cfg(feature = "telemetry")]
 #[test]
@@ -520,7 +520,7 @@ fn executor_telemetry_counters_are_consistent() {
     assert_eq!(delta("sweep.jobs"), JOBS as f64);
     assert_eq!(delta("sweep.completions"), JOBS as f64);
     assert_eq!(delta("sweep.items"), ITEMS as f64);
-    // Every run went through a lockstep batch, and batch widths sum to the
+    // Every run went through a batch of two, and batch widths sum to the
     // run count (six full width-2 batches).
     assert_eq!(delta("solver.lockstep_runs"), JOBS as f64);
     assert_eq!(delta("solver.batch_width"), JOBS as f64);

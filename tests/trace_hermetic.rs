@@ -15,13 +15,18 @@
 //! size). A key that missed that input would hand them the target's trace,
 //! and their extension's rebuild check would fail.
 //!
+//! Last, a fig8-shaped batch (a cold and an idle-start run of one stream)
+//! shares its stream within the batch: lane 1 is built only after lane 0
+//! has run and published, so it replays lane 0's windows, and both lanes
+//! must equal their solo runs.
+//!
 //! The idle thermal warm-up memo is keyed on geometry alone (ROADMAP item
 //! 1), so every idle-start run here has a geometry that no run with
 //! another idle seed uses. The seeds are used by no other test, and the
 //! file holds one test, so the table starts empty.
 
 use hotgauge_core::activity_trace::TRACE_TABLE_BYTES;
-use hotgauge_core::pipeline::{run_sim, RunResult, SimConfig};
+use hotgauge_core::pipeline::{run_sim, HistSpec, RunResult, SimConfig};
 use hotgauge_core::{run_batch, run_many_batched_with, trace_stats, ThrottlePolicy};
 use hotgauge_floorplan::tech::TechNode;
 use hotgauge_thermal::warmup::Warmup;
@@ -144,7 +149,7 @@ fn results_do_not_depend_on_the_trace_table() {
         let mut mate = t.clone();
         mate.max_time_s = 2e-3;
         let got = run_batch(vec![t.clone(), mate], None);
-        assert_same_run(&got[0], want, &format!("target {i}: lockstep lane"));
+        assert_same_run(&got[0], want, &format!("target {i}: batch lane 0"));
     }
 
     for threads in [1, 2] {
@@ -153,6 +158,28 @@ fn results_do_not_depend_on_the_trace_table() {
             assert_same_run(g, want, &format!("target {i}: {threads}-worker pool"));
         }
     }
+
+    // Fig. 8's pair on a stream and a geometry of its own: the batch warms
+    // the stream and the idle stream once, in lane 0, and lane 1 replays
+    // both.
+    let mut cold = target("gcc", 0x7ace_0005, 0, 340.0, Warmup::Cold);
+    cold.temp_histogram = Some(HistSpec {
+        lo: 30.0,
+        hi: 140.0,
+        bins: 110,
+    });
+    let idle = SimConfig {
+        warmup: Warmup::Idle,
+        ..cold.clone()
+    };
+    let before = trace_stats();
+    let got = run_batch(vec![cold.clone(), idle.clone()], None);
+    let after = trace_stats();
+    assert_eq!(after.misses - before.misses, 2, "lane 0 warms both streams");
+    assert_eq!(after.hits - before.hits, 2, "lane 1 replays both streams");
+    assert_eq!(after.extensions, before.extensions);
+    assert_same_run(&got[0], &run_sim(cold), "fig8 batch: cold lane");
+    assert_same_run(&got[1], &run_sim(idle), "fig8 batch: idle lane");
 
     let s = trace_stats();
     assert!(s.hits >= 1, "premise: a rerun replays a trace: {s:?}");
